@@ -9,8 +9,9 @@
 //!
 //! Note: this container exposes few physical cores, so absolute scaling
 //! flattens where the paper's 12-core Westmere keeps climbing; the *engine
-//! ordering at each thread count* is the reproduced result. EXPERIMENTS.md
-//! discusses the gap.
+//! ordering at each thread count* is the reproduced result. The layered
+//! benchmark's `sched.scale_eff`, `sched.busy_frac` and `sched.imbalance`
+//! on `train_chembl` put numbers on the gap for this host.
 //!
 //! Usage: `cargo run -p bpmf-bench --release --bin fig3_multicore`
 //! (`BPMF_SCALE` resizes the ChEMBL-like workload, default 0.01).

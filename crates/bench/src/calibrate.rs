@@ -76,11 +76,21 @@ pub fn time_item_update(
 /// blocked serial Cholesky kernel on this host.
 ///
 /// This is how the `rank_one_max` default should be picked on new hardware
-/// (`BpmfConfig::rank_one_max` / `Bpmf::builder().rank_one_max(..)`); the
-/// stock default (`K/8`) was measured with this function after the
-/// accumulation moved to blocked panel kernels — blocked accumulation
-/// lowered the crossover from the old `K/2`, since the mid-item kernel got
-/// faster while the rank-one kernel was unchanged.
+/// (`BpmfConfig::rank_one_max` / `Bpmf::builder().rank_one_max(..)`). The
+/// stock default (1) was measured with this function for K = 16…128 on the
+/// AVX-512 arm, after the factorization and solves went to vector width
+/// (the portable arm measures 2–5, the earlier latency-bound factorization
+/// measured 3–4 at K = 32). The same two sides show up, on a real matrix's
+/// degree distribution, in the layered benchmark's traced pass
+///
+/// ```text
+/// cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+///     --workload train_chembl --trace 1
+/// ```
+///
+/// as `update.light_item_us` (one rank-one item) against `linalg.chol_us`
+/// (the factorization a serial item pays instead), with
+/// `update.heavy_ns_per_rating` the serial kernel's per-rating slope.
 pub fn calibrate_rank_one_max(k: usize) -> usize {
     let mut last_rank_one_win = 0;
     let mut d = 1usize;
@@ -100,7 +110,8 @@ pub fn calibrate_rank_one_max(k: usize) -> usize {
 /// Fit the linear workload model on this host and return a [`ComputeModel`]
 /// whose per-unit costs are measured, with the machine-shape constants
 /// (cache size, thread efficiency, message overhead) kept at the BG/Q-era
-/// defaults documented in EXPERIMENTS.md.
+/// defaults of [`ComputeModel::default_calibration`]; the benchmark's
+/// `cluster_sim.predicted_scale_eff` is the prediction they give.
 pub fn calibrate(k: usize) -> ComputeModel {
     let d_low = 32;
     let d_high = 2048;

@@ -23,8 +23,9 @@
 //!    that dominates at high node counts in Fig. 5.
 //!
 //! The simulator is calibrated with per-rating/per-item costs measured on
-//! the host by the Fig. 2 harness; EXPERIMENTS.md records the fitted
-//! constants next to each reproduced figure.
+//! the host by the Fig. 2 harness (`bpmf_bench::calibrate`); the layered
+//! benchmark's `dist_chembl` workload reports the resulting prediction as
+//! `cluster_sim.predicted_scale_eff` beside the measured `dist.scale_eff`.
 
 mod model;
 mod sim;

@@ -24,7 +24,10 @@ impl Topology {
     /// (10 links × 2 GB/s on the real machine) makes intra-rack traffic
     /// cheap relative to compute, while the per-rack uplink share makes
     /// cross-rack traffic expensive — which is what produces the published
-    /// Fig. 4 knee at one rack (see EXPERIMENTS.md).
+    /// Fig. 4 knee at one rack. The layered benchmark reports what this
+    /// model predicts for the measured run as
+    /// `cluster_sim.predicted_scale_eff`, beside the measured
+    /// `dist.scale_eff`.
     pub fn bluegene_q_like() -> Self {
         Topology {
             nodes_per_rack: 32,

@@ -1139,7 +1139,7 @@ pub struct Bpmf {
     pub samples: usize,
     /// Parallel-Cholesky kernel threshold (Gibbs).
     pub parallel_threshold: usize,
-    /// Rank-one kernel ceiling (Gibbs; `None` = K/8, measured crossover).
+    /// Rank-one kernel ceiling (Gibbs; `None` = 1, measured crossover).
     pub rank_one_max: Option<usize>,
     /// Threads inside one parallel kernel invocation (Gibbs).
     pub kernel_threads: usize,

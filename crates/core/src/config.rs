@@ -21,10 +21,10 @@ pub struct BpmfConfig {
     /// kernel (the paper's ≈1000).
     pub parallel_threshold: usize,
     /// Ratings count at or below which an item uses the rank-one update
-    /// kernel; `None` selects `K/8`, the measured crossover against the
-    /// blocked serial kernel (re-measure on new hardware with
-    /// `bpmf_bench::calibrate::calibrate_rank_one_max` or
-    /// `cargo run --release -p bpmf-bench --bin perf_snapshot`).
+    /// kernel; `None` selects 1, the measured crossover against the blocked
+    /// serial kernel (re-measure on new hardware with
+    /// `bpmf_bench::calibrate::calibrate_rank_one_max`; see "Choosing the
+    /// thresholds on new hardware" in `update.rs`).
     pub rank_one_max: Option<usize>,
     /// Threads used *inside* one parallel-kernel item update.
     pub kernel_threads: usize,
@@ -60,12 +60,15 @@ impl BpmfConfig {
         self.burnin + self.samples
     }
 
-    /// Effective rank-one/serial-Cholesky crossover. The `K/8` default was
-    /// measured with the blocked panel kernels (the old `K/2` predates
-    /// them: blocked accumulation made the serial kernel faster while the
-    /// rank-one kernel was unchanged, pushing the crossover down).
+    /// Effective rank-one/serial-Cholesky crossover. The default of 1 was
+    /// measured (`calibrate_rank_one_max`, K = 16…128) after the `K × K`
+    /// stage went to vector width: a blocked factorization now costs about
+    /// as much as one rank-one update, whose column-to-column dependence
+    /// (`√`, reciprocal) does not vectorize, so the rank-one kernel only
+    /// wins for single-rating items. The earlier `K/8` was the crossover
+    /// against the latency-bound scalar factorization.
     pub fn rank_one_threshold(&self) -> usize {
-        self.rank_one_max.unwrap_or((self.num_latent / 8).max(1))
+        self.rank_one_max.unwrap_or(1)
     }
 
     /// Clamp a prediction to the configured rating bounds (identity when
@@ -117,7 +120,7 @@ mod tests {
         let cfg = BpmfConfig::default();
         cfg.validate();
         assert_eq!(cfg.iterations(), cfg.burnin + cfg.samples);
-        assert_eq!(cfg.rank_one_threshold(), (cfg.num_latent / 8).max(1));
+        assert_eq!(cfg.rank_one_threshold(), 1);
     }
 
     #[test]

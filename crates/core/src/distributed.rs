@@ -481,9 +481,7 @@ fn sample_hyper_replicated(
 ) {
     let k = side.k();
     let mut stats = SuffStats::new(k);
-    for i in own {
-        stats.add_row(side.items.row(i));
-    }
+    stats.add_rows(&side.items.as_slice()[own.start * k..own.end * k]);
     let mut flat = stats.to_flat();
     comm.allreduce_sum_f64(&mut flat);
     let global = SuffStats::from_flat(k, &flat);

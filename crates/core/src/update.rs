@@ -22,8 +22,9 @@
 //!   panel-vector product ([`bpmf_linalg::gemv_t_acc`]) — BLAS-3-style
 //!   blocked accumulation (after Vander Aa et al.'s D-BPMF), which streams
 //!   the `K × K` accumulator once per panel instead of once per rating and
-//!   keeps independent FMA chains in flight. One serial factorization at
-//!   the end.
+//!   keeps independent FMA chains in flight; while one block is in the
+//!   register tiles the next block's rows are prefetched. One serial
+//!   factorization at the end.
 //! * **parallel Cholesky** — the same panel accumulation split into chunks
 //!   executed on the persistent [`bpmf_linalg::kernel_pool`] (no OS threads
 //!   are spawned per item: the pool's workers are parked between heavy
@@ -33,20 +34,31 @@
 //! # Choosing the thresholds on new hardware
 //!
 //! `rank_one_max` (the light/mid crossover) and `parallel_threshold` (the
-//! mid/heavy crossover) are machine-dependent. The defaults (`K/8`, 1000)
-//! were measured with the blocked kernels via the calibration harness; to
-//! re-pick them on new hardware run
+//! mid/heavy crossover) are machine-dependent. The defaults (1, 1000) were
+//! measured; to re-pick them on new hardware run the layered benchmark's
+//! traced pass on the ChEMBL-shaped workload, whose rows span all three
+//! kernels:
 //!
 //! ```text
-//! cargo run --release -p bpmf-bench --bin perf_snapshot
+//! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+//!     --workload train_chembl --trace 1
 //! ```
 //!
-//! and read the reported `rank_one_crossover` (set `rank_one_max` there) and
-//! the per-method timings at large `d` (raise `parallel_threshold` until
-//! CholParallel actually beats CholSerial at that rating count — on few-core
-//! hosts it may never, in which case leave it at `usize::MAX`-ish values).
-//! `bpmf_bench::calibrate::calibrate_rank_one_max` does the same search
-//! programmatically.
+//! * `update.light_item_us` is one rank-one item (≈ `d` rank-one updates
+//!   plus the solves) and `linalg.chol_us` the `K × K` factorization a
+//!   serial item pays instead: rank-one is worth keeping up to the `d` at
+//!   which `d` updates cost more than one factorization.
+//!   `bpmf_bench::calibrate::calibrate_rank_one_max(K)` runs exactly that
+//!   search on synthetic rows and returns the value for `rank_one_max`. It
+//!   measured 1 for K = 16…128 on the AVX-512 arm: with the factorization at
+//!   vector width, one rank-one update — whose column-to-column `√` /
+//!   reciprocal dependence does not vectorize — costs about as much as
+//!   factoring from scratch.
+//! * `update.heavy_ns_per_rating` against `update.par_ns_per_rating` is the
+//!   serial kernel's per-rating cost against the parallel one's: raise
+//!   `parallel_threshold` until CholParallel actually beats CholSerial at
+//!   that rating count — on few-core hosts it may never, in which case
+//!   leave it at `usize::MAX`-ish values.
 
 use bpmf_linalg::{
     cholesky_in_place, cholesky_in_place_parallel, gemv_t_acc, kernel_pool, solve_lower,
@@ -202,15 +214,15 @@ pub fn update_item(
         }
     }
 
-    // scratch.prec now holds L with L Lᵀ = Λ*; solve for the mean and add
-    // precision-shaped noise: out = Λ*⁻¹ b + L⁻ᵀ z.
+    // scratch.prec now holds L with L Lᵀ = Λ*. The draw is the mean plus
+    // precision-shaped noise, Λ*⁻¹ b + L⁻ᵀ z = L⁻ᵀ (L⁻¹ b + z): one forward
+    // and one transposed solve.
     solve_lower(&scratch.prec, &mut scratch.rhs);
-    solve_lower_transpose(&scratch.prec, &mut scratch.rhs);
     fill_standard_normal(rng, &mut scratch.noise);
-    solve_lower_transpose(&scratch.prec, &mut scratch.noise);
-    for ((o, &m), &z) in out.iter_mut().zip(&scratch.rhs).zip(&scratch.noise) {
-        *o = m + z;
+    for ((o, &y), &z) in out.iter_mut().zip(&scratch.rhs).zip(&scratch.noise) {
+        *o = y + z;
     }
+    solve_lower_transpose(&scratch.prec, out);
 }
 
 /// Deterministic one-row fold-in: the conditional posterior **mean** for a
@@ -268,12 +280,23 @@ fn accumulate_panels(
     weights: &mut Vec<f64>,
 ) {
     let k = prec.rows();
-    for (cblock, vblock) in cols.chunks(PANEL_BLOCK).zip(vals.chunks(PANEL_BLOCK)) {
+    let mut blocks = cols.chunks(PANEL_BLOCK).zip(vals.chunks(PANEL_BLOCK));
+    let mut current = blocks.next();
+    while let Some((cblock, vblock)) = current {
         panel.clear();
         weights.clear();
         for (&j, &r) in cblock.iter().zip(vblock) {
             panel.extend_from_slice(other.row(j as usize));
             weights.push(alpha * (r - mean_offset));
+        }
+        // The counterpart rows are scattered over a factor matrix that may
+        // not fit in cache: start pulling the next block's rows in while
+        // this block is in the register tiles.
+        current = blocks.next();
+        if let Some((next, _)) = current {
+            for &j in next {
+                other.prefetch_row(j as usize);
+            }
         }
         syrk_ld_lower(prec, alpha, panel, k);
         gemv_t_acc(rhs, panel, weights);
@@ -416,7 +439,16 @@ mod tests {
     /// compare the implied posterior mean (deterministic part) instead.
     #[test]
     fn kernels_agree_on_posterior_mean() {
-        for &(k, d) in &[(4usize, 2usize), (8, 8), (8, 40), (16, 200)] {
+        for &(k, d) in &[
+            (4usize, 2usize),
+            (8, 8),
+            (8, 40),
+            (16, 200),
+            (32, 2),
+            (32, 4),
+            (32, 130),
+            (32, 1200),
+        ] {
             let (lambda, lambda_mu, chol, other, cols, vals) = fixture(k, d, 99);
             let prior = SidePrior {
                 lambda: &lambda,

@@ -1,9 +1,39 @@
 //! Serial Cholesky factorization.
+//!
+//! [`cholesky_in_place`] is **right-looking and blocked by eight columns**.
+//! The row-oriented left-looking loop it replaces computed each of the
+//! `n(n+1)/2` elements as `dot → subtract → divide`, every element waiting
+//! for its predecessor in the row: one latency chain with a divide in each
+//! link (≈ 30 cycles per element at `K = 32`). Here the only serial chain
+//! runs through the `n` pivots, and everything else is independent
+//! vector work queued behind it. Per block of eight columns `[j0, j0 + 8)`:
+//!
+//! 1. **Diagonal block** (`factor_diag`, scalar, 8 × 8): right-looking on
+//!    unscaled columns, so pivot `j + 1` waits for pivot `j` through one
+//!    reciprocal and one multiply-add — `√` and `1/√` (one per column) are
+//!    computed beside the chain, not in it.
+//! 2. **Panel** (rows below the block): `L[i, j0..j0+8] = A[i, j0..j0+8] ·
+//!    L_dd⁻ᵀ`, eight broadcast-FMAs per row against the block's explicit
+//!    inverse (`inverse_transposed`) held in registers — no per-element
+//!    divide and no recurrence along the row.
+//!    Each group of eight solved rows is transposed in registers and
+//!    mirrored into rows `j0..j0+8` of the **strict upper triangle**, which
+//!    is free workspace (never read as input, zeroed on return).
+//! 3. **Trailing update**: `A[i, c] −= Σ_t L[i, j0+t] · L[c, j0+t]` for
+//!    `c, i ≥ j0 + 8`. With column `j0 + t` of the panel lying contiguous in
+//!    mirror row `j0 + t`, this is exactly the rank-d accumulation of
+//!    [`crate::syrk_ld_lower`] with `α = −1` and `d = 8`, so it reuses that
+//!    kernel's register tile ([`Arm::syrk_tiles`]): every trailing tile is
+//!    loaded and stored once per eight columns, masked on the diagonal.
+//!
+//! All three steps run on the arm [`crate::simd::simd_level`] selects (see
+//! [`crate::arm`]).
 
+use crate::arm::{dispatch, Arm, LANES};
 use crate::error::LinalgError;
 use crate::mat::Mat;
+use crate::simd::{self, SimdLevel};
 use crate::tri::{solve_lower, solve_lower_transpose};
-use crate::vecops;
 
 /// Smallest pivot accepted before declaring the matrix non-SPD.
 ///
@@ -17,39 +47,141 @@ const MIN_PIVOT: f64 = 1e-300;
 ///
 /// Only the lower triangle of the input is read, so callers that build
 /// precision matrices with [`Mat::syrk_lower`] never need to symmetrize.
-///
-/// This is the row-oriented (left-looking) variant: for row-major storage
-/// every inner product streams two contiguous row prefixes, which is the
-/// layout-friendly choice for the `K × K` matrices BPMF solves per item.
+/// On [`LinalgError::NotPositiveDefinite`] (`pivot` is the first column
+/// whose updated diagonal is not positive) the contents of `m` are
+/// unspecified.
 pub fn cholesky_in_place(m: &mut Mat) -> Result<(), LinalgError> {
+    cholesky_at(simd::simd_level(), m)
+}
+
+/// [`cholesky_in_place`] on one named arm the CPU supports.
+pub(crate) fn cholesky_at(level: SimdLevel, m: &mut Mat) -> Result<(), LinalgError> {
+    assert_eq!(m.rows(), m.cols(), "cholesky requires a square matrix");
+    dispatch!(level, cholesky_body(m: &mut Mat) -> Result<(), LinalgError>)
+}
+
+#[inline(always)]
+unsafe fn cholesky_body<A: Arm>(m: &mut Mat) -> Result<(), LinalgError> {
     let n = m.rows();
-    assert_eq!(n, m.cols(), "cholesky requires a square matrix");
-    for i in 0..n {
-        for j in 0..=i {
-            // inner = Σ_{k<j} L[i][k] L[j][k]
-            let inner = if i == j {
-                let row = &m.row(i)[..j];
-                vecops::dot(row, row)
-            } else {
-                let (row_j, row_i) = m.two_rows_mut(j, i);
-                vecops::dot(&row_i[..j], &row_j[..j])
-            };
-            let s = m[(i, j)] - inner;
-            if i == j {
-                if s <= MIN_PIVOT {
-                    return Err(LinalgError::NotPositiveDefinite { pivot: i });
+    let a = m.as_mut_slice();
+    for j0 in (0..n).step_by(LANES) {
+        let (l_dd, inv_diag) = factor_diag::<A>(a, n, j0)?;
+        let lo = j0 + LANES;
+        if lo >= n {
+            break;
+        }
+        // Panel: eight rows at a time, solved against the block's inverse
+        // and mirrored, transposed, into the upper triangle.
+        let inv_t = inverse_transposed::<A>(&l_dd, &inv_diag);
+        let inv_t: [A::V; LANES] = std::array::from_fn(|t| A::vload(&inv_t[t], LANES));
+        for i0 in (lo..n).step_by(LANES) {
+            let h = (n - i0).min(LANES);
+            let mut rows = [A::vzero(); LANES];
+            for (r, solved) in rows.iter_mut().enumerate().take(h) {
+                let at = (i0 + r) * n + j0;
+                let p: [f64; LANES] = std::array::from_fn(|t| a[at + t]);
+                // Two accumulators halve the FMA chain along the row.
+                let (mut even, mut odd) = (A::vzero(), A::vzero());
+                for t in (0..LANES).step_by(2) {
+                    even = A::vfma(A::vsplat(p[t]), inv_t[t], even);
+                    odd = A::vfma(A::vsplat(p[t + 1]), inv_t[t + 1], odd);
                 }
-                m[(i, i)] = s.sqrt();
-            } else {
-                m[(i, j)] = s / m[(j, j)];
+                *solved = A::vadd(even, odd);
+                A::vstore(*solved, &mut a[at..], LANES);
+            }
+            A::vtranspose(&mut rows);
+            for (t, col) in rows.iter().enumerate() {
+                A::vstore(*col, &mut a[(j0 + t) * n + i0..], h);
             }
         }
-        // Zero the strict upper part of row i so the factor is clean.
-        for j in i + 1..n {
-            m[(i, j)] = 0.0;
-        }
+        let (head, tail) = a.split_at_mut(lo * n);
+        A::syrk_tiles(tail, lo, -1.0, &head[j0 * n..], n);
+    }
+    for (i, row) in a.chunks_exact_mut(n.max(1)).enumerate() {
+        row[i + 1..].fill(0.0);
     }
     Ok(())
+}
+
+/// An 8 × 8 block in registers: constant bounds, so loops over it unroll.
+type Block = [[f64; LANES]; LANES];
+
+/// Factor the diagonal block at `(j0, j0)` (order `min(8, n − j0)`) in
+/// place; returns the factor, padded to 8 × 8 with the identity, and the
+/// reciprocals of its diagonal.
+///
+/// Right-looking on *unscaled* columns `r[·][j] = L[·][j] · √d_j`: the
+/// trailing update is `r[i][c] −= r[i][j] · r[c][j] / d_j`, so the next
+/// pivot follows from `d_j` by one reciprocal and one multiply-add, and the
+/// square roots scale the columns afterwards.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+unsafe fn factor_diag<A: Arm>(
+    a: &mut [f64],
+    n: usize,
+    j0: usize,
+) -> Result<(Block, [f64; LANES]), LinalgError> {
+    // A ragged block is padded with the identity, which factors to itself
+    // and touches nothing else, so every loop below has constant bounds and
+    // unrolls into straight-line code on registers.
+    let w = (n - j0).min(LANES);
+    let mut r = [[0.0f64; LANES]; LANES];
+    for (i, row) in r.iter_mut().enumerate() {
+        if i < w {
+            let at = (j0 + i) * n + j0;
+            row[..=i].copy_from_slice(&a[at..=at + i]);
+        } else {
+            row[i] = 1.0;
+        }
+    }
+    let mut diag = [0.0f64; LANES];
+    let mut inv_diag = [0.0f64; LANES];
+    for j in 0..LANES {
+        let d = r[j][j];
+        if d <= MIN_PIVOT {
+            return Err(LinalgError::NotPositiveDefinite { pivot: j0 + j });
+        }
+        let inv_d = 1.0 / d;
+        diag[j] = d.sqrt();
+        inv_diag[j] = 1.0 / diag[j];
+        for c in j + 1..LANES {
+            let scaled = r[c][j] * inv_d;
+            for i in c..LANES {
+                r[i][c] = A::fma(-r[i][j], scaled, r[i][c]);
+            }
+        }
+    }
+    for i in 0..LANES {
+        for j in 0..i {
+            r[i][j] *= inv_diag[j];
+        }
+        r[i][i] = diag[i];
+        if i < w {
+            let at = (j0 + i) * n + j0;
+            a[at..=at + i].copy_from_slice(&r[i][..=i]);
+        }
+    }
+    Ok((r, inv_diag))
+}
+
+/// `L⁻ᵀ` of a lower-triangular 8 × 8 block (row `t` holds column `t` of
+/// `L⁻¹`, by forward substitution of `L x = e_t`), given the reciprocals of
+/// its diagonal.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)]
+unsafe fn inverse_transposed<A: Arm>(l: &Block, inv_diag: &[f64; LANES]) -> Block {
+    let mut inv_t = [[0.0f64; LANES]; LANES];
+    for t in 0..LANES {
+        inv_t[t][t] = inv_diag[t];
+        for c in t + 1..LANES {
+            let mut s = 0.0;
+            for q in t..c {
+                s = A::fma(l[c][q], inv_t[t][q], s);
+            }
+            inv_t[t][c] = -s * inv_diag[c];
+        }
+    }
+    inv_t
 }
 
 /// An SPD factorization `A = L Lᵀ` with solve/inverse/log-det helpers.
@@ -162,6 +294,58 @@ mod tests {
             let a = spd_example(n);
             let chol = Cholesky::factor(&a).unwrap();
             assert!(chol.reconstruct().max_abs_diff(&a) < 1e-9, "n = {n}");
+        }
+    }
+
+    /// Every arm the host supports, called directly, over orders below, at
+    /// and beside the block edges: `L Lᵀ` reproduces the input, the strict
+    /// upper triangle comes back zero, and garbage there is never read.
+    #[test]
+    fn every_arm_reconstructs_input_from_the_lower_triangle_alone() {
+        for n in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 40, 64] {
+            let a = spd_example(n);
+            let mut garbage_upper = a.clone();
+            for i in 0..n {
+                for j in i + 1..n {
+                    garbage_upper[(i, j)] = f64::NAN;
+                }
+            }
+            for level in simd::supported_levels() {
+                let mut l = garbage_upper.clone();
+                cholesky_at(level, &mut l).unwrap();
+                for i in 0..n {
+                    assert!(l[(i, i)] > 0.0, "{level:?} n={n}: diagonal {i}");
+                    for j in i + 1..n {
+                        assert_eq!(l[(i, j)], 0.0, "{level:?} n={n}: upper ({i},{j})");
+                    }
+                }
+                let diff = l.matmul_transb(&l).max_abs_diff(&a);
+                assert!(diff <= 1e-10, "{level:?} n={n}: {diff:e}");
+            }
+        }
+    }
+
+    /// The factorization must stop at the first column whose leading minor
+    /// is not positive definite — the same `pivot` the row-oriented loop
+    /// reported — wherever that column sits in its block.
+    #[test]
+    fn every_arm_reports_the_first_failing_pivot() {
+        let n = 33;
+        for bad in [0usize, 1, 7, 8, 9, 20, 31, 32] {
+            // Sinking one diagonal entry breaks exactly the leading minors
+            // that contain it.
+            let mut a = spd_example(n);
+            a[(bad, bad)] -= 10.0 * n as f64;
+            for level in simd::supported_levels() {
+                match cholesky_at(level, &mut a.clone()) {
+                    Err(LinalgError::NotPositiveDefinite { pivot }) => {
+                        assert_eq!(pivot, bad, "{level:?}")
+                    }
+                    other => {
+                        panic!("{level:?} bad={bad}: expected NotPositiveDefinite, got {other:?}")
+                    }
+                }
+            }
         }
     }
 

@@ -12,27 +12,32 @@ use crate::mat::Mat;
 
 /// Update `l` in place so that `(L Lᵀ) ← (L Lᵀ) + x xᵀ`.
 ///
-/// `x` is used as scratch and destroyed. This is the hyperbolic-rotation-free
-/// (Givens) formulation, unconditionally stable for updates.
+/// `x` is used as scratch and destroyed. Column `k` is one Givens rotation
+/// of the pair `(L[·, k], x)`: with `r = √(L[k,k]² + x[k]²)`, `c = L[k,k]/r`
+/// and `s = x[k]/r`, every row below takes `L[i,k] ← c·L[i,k] + s·x[i]` and
+/// `x[i] ← c·x[i] − s·L[i,k]`, both from the *old* pair. That costs one
+/// reciprocal per column and no division per element, and the elements of
+/// a column are independent of each other — the only serial dependence
+/// left is `x[k+1] → r → 1/r → (c, s)` from one column to the next.
+/// Unconditionally stable for updates.
 pub fn chol_update(l: &mut Mat, x: &mut [f64]) {
     let n = l.rows();
     assert_eq!(n, l.cols(), "chol_update requires a square factor");
     assert_eq!(x.len(), n, "chol_update vector length mismatch");
+    let a = l.as_mut_slice();
     for k in 0..n {
-        let lkk = l[(k, k)];
+        let lkk = a[k * n + k];
         let xk = x[k];
-        let r = lkk.hypot(xk);
-        let c = r / lkk;
-        let s = xk / lkk;
-        l[(k, k)] = r;
-        if k + 1 < n {
-            // Column k of L lives strided in row-major storage; the loop is
-            // short (≤ K) and the stride is a whole row, so this stays cheap.
-            for i in k + 1..n {
-                let lik = (l[(i, k)] + s * x[i]) / c;
-                x[i] = c * x[i] - s * lik;
-                l[(i, k)] = lik;
-            }
+        let r = (lkk * lkk + xk * xk).sqrt();
+        let inv = 1.0 / r;
+        let (c, s) = (lkk * inv, xk * inv);
+        a[k * n + k] = r;
+        // Column k below the diagonal, one element per row of the factor.
+        let below = a[(k + 1) * n..].iter_mut().skip(k).step_by(n);
+        for (lik, xi) in below.zip(&mut x[k + 1..]) {
+            let (l0, x0) = (*lik, *xi);
+            *lik = c * l0 + s * x0;
+            *xi = c * x0 - s * l0;
         }
     }
 }
@@ -88,7 +93,7 @@ mod tests {
 
     #[test]
     fn update_matches_refactorization() {
-        for n in [1, 2, 5, 16] {
+        for n in [1, 2, 5, 16, 31, 32, 33, 64] {
             let a = spd(n, 7);
             let x: Vec<f64> = (0..n).map(|i| 0.3 * (i as f64 + 1.0).sin()).collect();
 

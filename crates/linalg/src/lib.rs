@@ -9,7 +9,9 @@
 //!
 //! * [`Mat`] — a row-major dense matrix with the usual constructors and
 //!   element-wise operations,
-//! * serial Cholesky factorization ([`Cholesky`]),
+//! * serial Cholesky factorization ([`Cholesky`]) — right-looking, blocked
+//!   by eight columns, its trailing update on the panel kernels' register
+//!   tile,
 //! * a blocked, multi-threaded Cholesky ([`cholesky_in_place_parallel`]) used
 //!   for items with very many ratings (paper, Fig. 2),
 //! * rank-one Cholesky update/downdate ([`chol_update`], [`chol_downdate`])
@@ -21,9 +23,10 @@
 //!   [`gemm`]) — the multi-user micro-batch serving engine behind
 //!   `Recommender::score_block`,
 //! * one shared runtime SIMD dispatch layer ([`simd`]): every explicitly
-//!   vectorized kernel (GEMM, the panel kernels, `Mat::matvec_t_into`)
-//!   gates its AVX2+FMA arm on [`simd::simd_enabled`], and
-//!   `BPMF_NO_SIMD=1` forces the scalar arms process-wide,
+//!   vectorized kernel (GEMM, the panel kernels, the Cholesky and the
+//!   triangular solves, `Mat::matvec_t_into`) picks its scalar, AVX2+FMA or
+//!   AVX-512 arm from [`simd::simd_level`], and `BPMF_NO_SIMD=1` forces the
+//!   scalar arms process-wide,
 //! * a persistent fork-join pool ([`kernel_pool`]) for intra-item
 //!   parallelism without per-item thread spawns,
 //! * triangular solves and the vector helpers ([`vecops`]) the sampler's hot
@@ -49,6 +52,7 @@
 //! assert!((r[0] - 1.0).abs() < 1e-12);
 //! ```
 
+mod arm;
 mod chol;
 mod chol_par;
 mod cholupdate;

@@ -103,6 +103,24 @@ impl Mat {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
+    /// Hint the CPU to pull row `i` into cache ahead of a gather. Purely a
+    /// performance hint: no effect on results, a no-op off x86_64.
+    #[inline]
+    pub fn prefetch_row(&self, i: usize) {
+        #[cfg(target_arch = "x86_64")]
+        for line in self.row(i).chunks(8) {
+            // SAFETY: prefetch never faults and `line` is a valid address;
+            // SSE is part of the x86_64 baseline.
+            unsafe {
+                std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(
+                    line.as_ptr().cast(),
+                );
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = i;
+    }
+
     /// Two disjoint mutable rows; panics if `i == j`.
     pub fn two_rows_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
         assert_ne!(i, j, "rows must be distinct");

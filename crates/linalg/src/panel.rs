@@ -14,33 +14,60 @@
 //! Two kernels live here:
 //!
 //! * [`syrk_ld_lower`] — `C[lower] += α · PᵀP` for a row-major `d × K`
-//!   panel `P`: 2×2 register tiles over the output, two independent FMA
-//!   chains down the panel, cache-blocked over `d` so the streamed panel
-//!   block stays L1/L2-resident across output tiles.
+//!   panel `P`, cache-blocked over `d` so the streamed panel block stays
+//!   L1/L2-resident across output tiles, register-tiled over the output
+//!   (below).
 //! * [`gemv_t_acc`] — `y += Pᵀ w`: the information-vector accumulation,
-//!   processing four panel rows per pass so each output element gets four
+//!   processing several panel rows per pass so each output element gets
 //!   independent products per iteration.
 //!
 //! Both kernels are exact re-associations of the per-rating loop; the
 //! property tests in `tests/panel_properties.rs` pin them to the naive
 //! reference within 1e-12 across shapes (including `d = 0, 1` and sizes
-//! that are not multiples of any block).
+//! that are not multiples of any block), and the in-module tests call every
+//! arm the host supports directly.
 //!
-//! Both dispatch through the shared [`crate::simd`] layer: on AVX2+FMA
-//! hardware an explicit 4-lane kernel takes over (two output rows share
-//! every loaded panel vector in `syrk`, eight broadcast rows fold into the
-//! information vector at once in `gemv`), and `BPMF_NO_SIMD=1` — or any
-//! non-x86_64 target — pins the portable arms
-//! ([`syrk_ld_lower_scalar`]/[`gemv_t_acc_scalar`], also the references
-//! the property tests compare against).
+//! # The rank-d register tile
+//!
+//! Each arm of `syrk_ld_lower` (selected by [`crate::simd::simd_level`];
+//! `BPMF_NO_SIMD=1` — or any non-x86_64 target — pins the portable one)
+//! walks the lower triangle in register tiles and, per tile, streams the
+//! panel block once:
+//!
+//! * **AVX-512** — 8 output rows × 8 columns. Per panel row: one 8-lane
+//!   load of the row's columns `[j0, j0 + 8)` and eight broadcast-FMAs, one
+//!   per output row, into eight accumulators — nine loads feed eight
+//!   512-bit FMAs, so the FMA ports, not the load ports, set the rate
+//!   (≈ 1.8 of 2 FMAs per cycle at `K = 32`).
+//! * **AVX2** — 4 output rows × 8 columns (two 4-lane halves): sixteen
+//!   registers do not hold an 8 × 8 tile.
+//! * **portable** — 2 × 2 scalars, two chains down the panel.
+//!
+//! The triangle's ragged edge never leaves the vector path: a tile on the
+//! diagonal computes all its lanes but *stores through a lane mask* (row
+//! `t` of the tile keeps lanes `0..=t`), so the strict upper triangle is
+//! neither read nor written, and the column load is masked to `K`, so any
+//! order works, not just multiples of the tile edge. (The AVX2 arm this
+//! replaces sent every element right of its last whole 4-column tile —
+//! 80 of the 528 at `K = 32` — through scalar dot products.)
+//!
+//! The tiles take the triangle's first row/column `lo` as a parameter
+//! ([`crate::arm::Arm::syrk_tiles`]): the blocked Cholesky's trailing update
+//! is this same accumulation with `α = −1` on the sub-triangle below the
+//! current block.
+//!
+//! `gemv_t_acc` has a 4-lane AVX2+FMA arm (eight broadcast rows folded into
+//! the information vector at once) that AVX-512 hosts use too, and the
+//! portable [`gemv_t_acc_scalar`].
 
+use crate::arm::{dispatch, Arm};
 use crate::mat::Mat;
-use crate::simd;
+use crate::simd::{self, SimdLevel};
 use crate::vecops;
 
 /// Row count of one cache block of the panel. `PANEL_BLOCK · K` doubles are
 /// streamed per output tile pass; at `K = 128` a 64-row block is 64 KiB —
-/// L2-resident, and re-read once per 2-column output tile.
+/// L2-resident, and re-read once per output tile.
 pub const PANEL_BLOCK: usize = 64;
 
 /// Symmetric rank-`d` accumulation on the **lower** triangle from a
@@ -53,61 +80,53 @@ pub const PANEL_BLOCK: usize = 64;
 /// Panics if `c` is not square, `k` does not match its order, or
 /// `panel.len()` is not a multiple of `k`.
 pub fn syrk_ld_lower(c: &mut Mat, alpha: f64, panel: &[f64], k: usize) {
-    if !syrk_check(c, panel, k) {
-        return;
-    }
-    if simd::simd_enabled() {
-        #[cfg(target_arch = "x86_64")]
-        {
-            // Cache-block over the panel rows: every output tile re-reads
-            // the current block, so keep it small enough to stay resident.
-            for block in panel.chunks(PANEL_BLOCK * k) {
-                // SAFETY: `simd_enabled` guarantees AVX2+FMA; shapes were
-                // validated by `syrk_check`.
-                unsafe { syrk_block_avx2(c, alpha, block, k) };
-            }
-            return;
-        }
-    }
-    for block in panel.chunks(PANEL_BLOCK * k) {
-        syrk_block(c, alpha, block, k);
-    }
+    syrk_ld_lower_at(simd::simd_level(), c, alpha, panel, k);
 }
 
 /// [`syrk_ld_lower`] pinned to the portable scalar arm — the reference the
-/// property tests and the `perf_snapshot` SIMD-ratio section run against.
+/// property tests compare every vector arm against.
 pub fn syrk_ld_lower_scalar(c: &mut Mat, alpha: f64, panel: &[f64], k: usize) {
-    if !syrk_check(c, panel, k) {
-        return;
-    }
-    for block in panel.chunks(PANEL_BLOCK * k) {
-        syrk_block(c, alpha, block, k);
-    }
+    syrk_ld_lower_at(SimdLevel::Scalar, c, alpha, panel, k);
 }
 
-/// Shared shape validation; returns false for the `k = 0` no-op.
-fn syrk_check(c: &Mat, panel: &[f64], k: usize) -> bool {
+/// [`syrk_ld_lower`] on one named arm (the in-module tests call every arm
+/// the host supports directly, so a wider arm never shadows a narrower one).
+/// The level must be one the CPU supports.
+fn syrk_ld_lower_at(level: SimdLevel, c: &mut Mat, alpha: f64, panel: &[f64], k: usize) {
     let n = c.rows();
     assert_eq!(n, c.cols(), "syrk_ld_lower requires a square matrix");
     assert_eq!(n, k, "syrk_ld_lower panel width must match matrix order");
     if k == 0 {
-        return false;
+        return;
     }
     assert_eq!(
         panel.len() % k,
         0,
         "syrk_ld_lower panel length must be a multiple of k"
     );
-    true
+    let c = c.as_mut_slice();
+    dispatch!(level, syrk_body(c: &mut [f64], alpha: f64, panel: &[f64], k: usize) -> ())
 }
 
-/// One cache block of the rank-d update: 2×2 register tiles over the lower
-/// triangle of `c`, two independent accumulation chains down the block.
-fn syrk_block(c: &mut Mat, alpha: f64, p: &[f64], k: usize) {
-    let k_even = k & !1;
-    let mut i = 0;
+/// Cache-block over the panel rows: every output tile re-reads the current
+/// block, so keep it small enough to stay resident.
+#[inline(always)]
+unsafe fn syrk_body<A: Arm>(c: &mut [f64], alpha: f64, panel: &[f64], k: usize) {
+    for block in panel.chunks(PANEL_BLOCK * k) {
+        A::syrk_tiles(c, 0, alpha, block, k);
+    }
+}
+
+/// Portable register tile behind [`Arm::syrk_tiles`] (see there for the
+/// contract): 2×2 tiles over the triangle `lo ≤ j ≤ i < k`, two independent
+/// accumulation chains down the panel.
+pub(crate) fn syrk_tiles_scalar(c_rows: &mut [f64], lo: usize, alpha: f64, p: &[f64], k: usize) {
+    assert!(lo <= k && c_rows.len() == (k - lo) * k && p.len().is_multiple_of(k));
+    let c = |i: usize, j: usize| (i - lo) * k + j;
+    let k_even = lo + ((k - lo) & !1);
+    let mut i = lo;
     while i < k_even {
-        let mut j = 0;
+        let mut j = lo;
         while j <= i {
             // Tile rows {i, i+1} × cols {j, j+1}. Two chains (even/odd
             // panel rows) per element keep eight FMAs in flight.
@@ -135,22 +154,22 @@ fn syrk_block(c: &mut Mat, alpha: f64, p: &[f64], k: usize) {
                 a10 += x1 * y0;
                 a11 += x1 * y1;
             }
-            c[(i, j)] += alpha * (a00 + b00);
-            c[(i + 1, j)] += alpha * (a10 + b10);
-            c[(i + 1, j + 1)] += alpha * (a11 + b11);
+            c_rows[c(i, j)] += alpha * (a00 + b00);
+            c_rows[c(i + 1, j)] += alpha * (a10 + b10);
+            c_rows[c(i + 1, j + 1)] += alpha * (a11 + b11);
             if j < i {
                 // On the diagonal tile (j == i) this element is strictly
                 // upper-triangular; everywhere else it belongs to row i.
-                c[(i, j + 1)] += alpha * (a01 + b01);
+                c_rows[c(i, j + 1)] += alpha * (a01 + b01);
             }
             j += 2;
         }
         i += 2;
     }
     if k_even < k {
-        // Odd k: the last row of C, computed as plain dots down the block.
+        // Odd edge: the last row of C, computed as plain dots down the block.
         let i = k - 1;
-        for j in 0..=i {
+        for j in lo..=i {
             let mut s0 = 0.0f64;
             let mut s1 = 0.0f64;
             let mut rows = p.chunks_exact(2 * k);
@@ -163,173 +182,125 @@ fn syrk_block(c: &mut Mat, alpha: f64, p: &[f64], k: usize) {
             if !rem.is_empty() {
                 s0 += rem[i] * rem[j];
             }
-            c[(i, j)] += alpha * (s0 + s1);
+            c_rows[c(i, j)] += alpha * (s0 + s1);
         }
     }
 }
 
-/// Scalar dots `c[row][j0..=jmax] += alpha · Σ_r p[r][row]·p[r][j]` — the
-/// ragged columns at the triangle edge the vector tiles cannot cover.
-/// Two accumulation chains (even/odd panel rows) per element, as in
-/// [`syrk_block`].
-fn syrk_tail_cols(
-    c: &mut Mat,
-    alpha: f64,
-    p: &[f64],
-    k: usize,
-    row: usize,
-    j0: usize,
-    jmax: usize,
-) {
-    for j in j0..=jmax {
-        let mut s0 = 0.0f64;
-        let mut s1 = 0.0f64;
-        let mut rows = p.chunks_exact(2 * k);
-        for pair in rows.by_ref() {
-            let (r0, r1) = pair.split_at(k);
-            s0 += r0[row] * r0[j];
-            s1 += r1[row] * r1[j];
-        }
-        let rem = rows.remainder();
-        if !rem.is_empty() {
-            s0 += rem[row] * rem[j];
-        }
-        c[(row, j)] += alpha * (s0 + s1);
-    }
-}
-
-/// AVX2+FMA arm of one cache block of the rank-d update.
+/// AVX-512F register tile behind [`Arm::syrk_tiles`]: 8 × 8 tiles over the
+/// triangle `lo ≤ j ≤ i < k` (see the module docs).
 ///
-/// Output rows are walked in pairs so every loaded 4-lane panel segment
-/// feeds two rows of `C`; panel rows are consumed two at a time into
-/// disjoint (even/odd) accumulator sets, keeping eight independent FMA
-/// chains in flight per 2×8 tile. Columns the 8- and 4-wide tiles cannot
-/// reach (the ragged triangle edge, at most seven per row pair) fall back
-/// to [`syrk_tail_cols`].
+/// Per panel row a tile issues one 8-lane load of the row's columns
+/// `[j0, j0 + 8)` and eight broadcast-FMAs, one per output row, into eight
+/// accumulators that never leave registers until the panel is consumed.
+/// The column load is masked to `k`, so any `k` works; output rows past `k`
+/// in the last tile row re-broadcast row `k − 1` (computed, never stored).
 ///
 /// # Safety
 ///
-/// Caller must ensure AVX2+FMA support and `syrk_check`-validated shapes.
+/// Requires AVX-512F.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn syrk_block_avx2(c: &mut Mat, alpha: f64, p: &[f64], k: usize) {
+#[target_feature(enable = "avx512f")]
+pub(crate) unsafe fn syrk_tiles_avx512(
+    c_rows: &mut [f64],
+    lo: usize,
+    alpha: f64,
+    p: &[f64],
+    k: usize,
+) {
+    use crate::arm::avx512_lanes as lanes;
     use std::arch::x86_64::*;
+    assert!(lo <= k && c_rows.len() == (k - lo) * k && p.len().is_multiple_of(k));
     let d = p.len() / k;
     let pp = p.as_ptr();
-    let av = _mm256_set1_pd(alpha);
-    let k_even = k & !1;
-    let mut i = 0;
-    while i < k_even {
-        // Rows {i, i+1} of C. Vector tiles stop at column i (row i's
-        // triangle edge); the tail helper finishes both rows. The raw
-        // output pointer is re-derived per pair so the `&mut Mat` reborrow
-        // inside `syrk_tail_cols` never overlaps its lifetime.
-        let cp = c.as_mut_slice().as_mut_ptr();
-        let mut j = 0usize;
-        while j + 8 <= i + 1 {
-            let mut a0l = _mm256_setzero_pd();
-            let mut a0h = _mm256_setzero_pd();
-            let mut a1l = _mm256_setzero_pd();
-            let mut a1h = _mm256_setzero_pd();
-            let mut b0l = _mm256_setzero_pd();
-            let mut b0h = _mm256_setzero_pd();
-            let mut b1l = _mm256_setzero_pd();
-            let mut b1h = _mm256_setzero_pd();
-            let mut r = 0usize;
-            while r + 2 <= d {
-                let e = pp.add(r * k);
-                let o = pp.add((r + 1) * k);
-                let x0 = _mm256_set1_pd(*e.add(i));
-                let x1 = _mm256_set1_pd(*e.add(i + 1));
-                let pl = _mm256_loadu_pd(e.add(j));
-                let ph = _mm256_loadu_pd(e.add(j + 4));
-                a0l = _mm256_fmadd_pd(x0, pl, a0l);
-                a0h = _mm256_fmadd_pd(x0, ph, a0h);
-                a1l = _mm256_fmadd_pd(x1, pl, a1l);
-                a1h = _mm256_fmadd_pd(x1, ph, a1h);
-                let y0 = _mm256_set1_pd(*o.add(i));
-                let y1 = _mm256_set1_pd(*o.add(i + 1));
-                let ql = _mm256_loadu_pd(o.add(j));
-                let qh = _mm256_loadu_pd(o.add(j + 4));
-                b0l = _mm256_fmadd_pd(y0, ql, b0l);
-                b0h = _mm256_fmadd_pd(y0, qh, b0h);
-                b1l = _mm256_fmadd_pd(y1, ql, b1l);
-                b1h = _mm256_fmadd_pd(y1, qh, b1h);
-                r += 2;
+    let cp = c_rows.as_mut_ptr();
+    let av = _mm512_set1_pd(alpha);
+    // SAFETY (pointer arithmetic below): panel reads stay inside row `r < d`
+    // at unmasked columns `< k`; output accesses stay inside row
+    // `lo ≤ i < k` of `c_rows` at unmasked columns `≤ i`.
+    for i0 in (lo..k).step_by(8) {
+        let mr = (k - i0).min(8);
+        let bcast: [usize; 8] = std::array::from_fn(|t| (i0 + t).min(k - 1));
+        for j0 in (lo..=i0).step_by(8) {
+            let cols = lanes(k - j0);
+            let mut acc = [_mm512_setzero_pd(); 8];
+            for r in 0..d {
+                let row = pp.add(r * k);
+                let v = _mm512_maskz_loadu_pd(cols, row.add(j0));
+                for (a, &bi) in acc.iter_mut().zip(&bcast) {
+                    *a = _mm512_fmadd_pd(_mm512_set1_pd(*row.add(bi)), v, *a);
+                }
             }
-            if r < d {
-                let e = pp.add(r * k);
-                let x0 = _mm256_set1_pd(*e.add(i));
-                let x1 = _mm256_set1_pd(*e.add(i + 1));
-                let pl = _mm256_loadu_pd(e.add(j));
-                let ph = _mm256_loadu_pd(e.add(j + 4));
-                a0l = _mm256_fmadd_pd(x0, pl, a0l);
-                a0h = _mm256_fmadd_pd(x0, ph, a0h);
-                a1l = _mm256_fmadd_pd(x1, pl, a1l);
-                a1h = _mm256_fmadd_pd(x1, ph, a1h);
+            for (t, a) in acc.iter().enumerate().take(mr) {
+                // Diagonal tile: row t keeps lanes 0..=t, so the strict
+                // upper triangle is neither read nor written.
+                let keep = if j0 == i0 { cols & lanes(t + 1) } else { cols };
+                let dst = cp.add((i0 + t - lo) * k + j0);
+                let cur = _mm512_maskz_loadu_pd(keep, dst);
+                _mm512_mask_storeu_pd(dst, keep, _mm512_fmadd_pd(av, *a, cur));
             }
-            let c0 = cp.add(i * k + j);
-            let c1 = cp.add((i + 1) * k + j);
-            _mm256_storeu_pd(
-                c0,
-                _mm256_fmadd_pd(av, _mm256_add_pd(a0l, b0l), _mm256_loadu_pd(c0)),
-            );
-            _mm256_storeu_pd(
-                c0.add(4),
-                _mm256_fmadd_pd(av, _mm256_add_pd(a0h, b0h), _mm256_loadu_pd(c0.add(4))),
-            );
-            _mm256_storeu_pd(
-                c1,
-                _mm256_fmadd_pd(av, _mm256_add_pd(a1l, b1l), _mm256_loadu_pd(c1)),
-            );
-            _mm256_storeu_pd(
-                c1.add(4),
-                _mm256_fmadd_pd(av, _mm256_add_pd(a1h, b1h), _mm256_loadu_pd(c1.add(4))),
-            );
-            j += 8;
         }
-        if j + 4 <= i + 1 {
-            let mut a0 = _mm256_setzero_pd();
-            let mut a1 = _mm256_setzero_pd();
-            let mut b0 = _mm256_setzero_pd();
-            let mut b1 = _mm256_setzero_pd();
-            let mut r = 0usize;
-            while r + 2 <= d {
-                let e = pp.add(r * k);
-                let o = pp.add((r + 1) * k);
-                let pl = _mm256_loadu_pd(e.add(j));
-                a0 = _mm256_fmadd_pd(_mm256_set1_pd(*e.add(i)), pl, a0);
-                a1 = _mm256_fmadd_pd(_mm256_set1_pd(*e.add(i + 1)), pl, a1);
-                let ql = _mm256_loadu_pd(o.add(j));
-                b0 = _mm256_fmadd_pd(_mm256_set1_pd(*o.add(i)), ql, b0);
-                b1 = _mm256_fmadd_pd(_mm256_set1_pd(*o.add(i + 1)), ql, b1);
-                r += 2;
-            }
-            if r < d {
-                let e = pp.add(r * k);
-                let pl = _mm256_loadu_pd(e.add(j));
-                a0 = _mm256_fmadd_pd(_mm256_set1_pd(*e.add(i)), pl, a0);
-                a1 = _mm256_fmadd_pd(_mm256_set1_pd(*e.add(i + 1)), pl, a1);
-            }
-            let c0 = cp.add(i * k + j);
-            let c1 = cp.add((i + 1) * k + j);
-            _mm256_storeu_pd(
-                c0,
-                _mm256_fmadd_pd(av, _mm256_add_pd(a0, b0), _mm256_loadu_pd(c0)),
-            );
-            _mm256_storeu_pd(
-                c1,
-                _mm256_fmadd_pd(av, _mm256_add_pd(a1, b1), _mm256_loadu_pd(c1)),
-            );
-            j += 4;
-        }
-        syrk_tail_cols(c, alpha, p, k, i, j, i);
-        syrk_tail_cols(c, alpha, p, k, i + 1, j, i + 1);
-        i += 2;
     }
-    if k_even < k {
-        // Odd k: the last row, ragged by construction.
-        syrk_tail_cols(c, alpha, p, k, k - 1, 0, k - 1);
+}
+
+/// AVX2+FMA register tile behind [`Arm::syrk_tiles`]: 4 × 8 tiles (two
+/// 4-lane halves per output row), the same masked scheme as
+/// [`syrk_tiles_avx512`] with `maskload`/`maskstore` in place of `k`-masks,
+/// so the ragged triangle edge and any `k` stay on the vector path.
+///
+/// # Safety
+///
+/// Requires AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2", enable = "fma")]
+pub(crate) unsafe fn syrk_tiles_avx2(
+    c_rows: &mut [f64],
+    lo: usize,
+    alpha: f64,
+    p: &[f64],
+    k: usize,
+) {
+    use crate::arm::avx2_lanes as lanes;
+    use std::arch::x86_64::*;
+    assert!(lo <= k && c_rows.len() == (k - lo) * k && p.len().is_multiple_of(k));
+    let d = p.len() / k;
+    let pp = p.as_ptr();
+    let cp = c_rows.as_mut_ptr();
+    let av = _mm256_set1_pd(alpha);
+    // SAFETY (pointer arithmetic below): as in `syrk_tiles_avx512`; a high
+    // half may start past its row's end (fully masked then), hence the
+    // wrapping offsets.
+    for i0 in (lo..k).step_by(4) {
+        let mr = (k - i0).min(4);
+        let bcast: [usize; 4] = std::array::from_fn(|t| (i0 + t).min(k - 1));
+        for j0 in (lo..=i0).step_by(8) {
+            let (cols_lo, cols_hi) = (lanes(k - j0), lanes(k.saturating_sub(j0 + 4)));
+            let mut lo_acc = [_mm256_setzero_pd(); 4];
+            let mut hi_acc = [_mm256_setzero_pd(); 4];
+            for r in 0..d {
+                let row = pp.add(r * k);
+                let vl = _mm256_maskload_pd(row.add(j0), cols_lo);
+                let vh = _mm256_maskload_pd(row.wrapping_add(j0 + 4), cols_hi);
+                for ((l, h), &bi) in lo_acc.iter_mut().zip(hi_acc.iter_mut()).zip(&bcast) {
+                    let x = _mm256_set1_pd(*row.add(bi));
+                    *l = _mm256_fmadd_pd(x, vl, *l);
+                    *h = _mm256_fmadd_pd(x, vh, *h);
+                }
+            }
+            for t in 0..mr {
+                // Row i keeps columns j0..=i: full below the diagonal tile,
+                // a lane prefix on it (possibly none of the high half).
+                let i = i0 + t;
+                let keep_lo = _mm256_and_si256(cols_lo, lanes(i + 1 - j0));
+                let keep_hi = _mm256_and_si256(cols_hi, lanes((i + 1).saturating_sub(j0 + 4)));
+                let dst = cp.add((i - lo) * k + j0);
+                let cur = _mm256_maskload_pd(dst, keep_lo);
+                _mm256_maskstore_pd(dst, keep_lo, _mm256_fmadd_pd(av, lo_acc[t], cur));
+                let dst = dst.wrapping_add(4);
+                let cur = _mm256_maskload_pd(dst, keep_hi);
+                _mm256_maskstore_pd(dst, keep_hi, _mm256_fmadd_pd(av, hi_acc[t], cur));
+            }
+        }
     }
 }
 
@@ -365,7 +336,7 @@ pub fn gemv_t_acc(y: &mut [f64], panel: &[f64], w: &[f64]) {
 }
 
 /// [`gemv_t_acc`] pinned to the portable scalar arm — the reference the
-/// property tests and the `perf_snapshot` SIMD-ratio section run against.
+/// property tests compare the vector arm against.
 pub fn gemv_t_acc_scalar(y: &mut [f64], panel: &[f64], w: &[f64]) {
     let k = y.len();
     assert_eq!(
@@ -474,33 +445,87 @@ mod tests {
             .collect()
     }
 
+    /// Every arm the host supports, called directly (not through the
+    /// dispatcher, so AVX-512 hardware still exercises the AVX2 arm), over
+    /// orders that are and are not multiples of any tile edge and panels on
+    /// both sides of the cache block: 1e-12 against the per-rating
+    /// reference, and the strict upper triangle bit-for-bit untouched.
     #[test]
-    fn blocked_syrk_matches_per_rating_reference() {
-        for &k in &[1usize, 2, 3, 4, 7, 8, 16, 17] {
-            for &d in &[0usize, 1, 2, 3, 5, 63, 64, 65, 130, 200] {
+    fn every_arm_matches_per_rating_reference_and_spares_the_upper_triangle() {
+        const SENTINEL: f64 = 99.0;
+        for k in 1usize..=40 {
+            for &d in &[0usize, 1, 2, 7, 8, 9, 63, 64, 65, 200] {
                 let p = panel_of(d, k, 11);
-                let mut blocked = Mat::zeros(k, k);
-                syrk_ld_lower(&mut blocked, 1.7, &p, k);
-                let mut naive = Mat::zeros(k, k);
-                naive_syrk(&mut naive, 1.7, &p, k);
-                assert!(
-                    blocked.max_abs_diff(&naive) < 1e-12,
-                    "k={k} d={d}: {:?}",
-                    blocked.max_abs_diff(&naive)
+                let start = Mat::from_fn(
+                    k,
+                    k,
+                    |i, j| if j > i { SENTINEL } else { (i + 2 * j) as f64 },
                 );
+                let mut naive = start.clone();
+                naive_syrk(&mut naive, 1.7, &p, k);
+                for level in simd::supported_levels() {
+                    let mut c = start.clone();
+                    syrk_ld_lower_at(level, &mut c, 1.7, &p, k);
+                    for i in 0..k {
+                        for j in 0..k {
+                            if j > i {
+                                assert_eq!(
+                                    c[(i, j)],
+                                    SENTINEL,
+                                    "{level:?} k={k} d={d}: upper ({i},{j})"
+                                );
+                            } else {
+                                let diff = (c[(i, j)] - naive[(i, j)]).abs();
+                                assert!(diff < 1e-12, "{level:?} k={k} d={d} ({i},{j}): {diff:e}");
+                            }
+                        }
+                    }
+                }
             }
         }
     }
 
+    /// The sub-triangle form the blocked Cholesky uses: rows and columns
+    /// below `lo` stay untouched on every arm, the rest matches the scalar
+    /// tile.
     #[test]
-    fn blocked_syrk_leaves_upper_triangle_untouched() {
-        let k = 6;
-        let p = panel_of(10, k, 3);
-        let mut c = Mat::from_fn(k, k, |i, j| if j > i { 99.0 } else { 0.0 });
-        syrk_ld_lower(&mut c, 2.0, &p, k);
-        for i in 0..k {
-            for j in i + 1..k {
-                assert_eq!(c[(i, j)], 99.0, "upper ({i},{j}) was written");
+    fn every_arm_updates_only_the_trailing_triangle() {
+        for &(k, lo) in &[(9usize, 8usize), (24, 8), (33, 16), (40, 32), (12, 12)] {
+            let p = panel_of(8, k, 5);
+            let start = Mat::from_fn(k, k, |i, j| (3 * i + j) as f64);
+            let mut want = start.clone();
+            syrk_tiles_scalar(&mut want.as_mut_slice()[lo * k..], lo, -1.0, &p, k);
+            for i in 0..k {
+                for j in 0..k {
+                    if i < lo || j < lo || j > i {
+                        assert_eq!(
+                            want[(i, j)],
+                            start[(i, j)],
+                            "scalar k={k} lo={lo} ({i},{j})"
+                        );
+                    }
+                }
+            }
+            for level in simd::supported_levels() {
+                #[inline(always)]
+                unsafe fn tiles<A: Arm>(c_rows: &mut [f64], lo: usize, p: &[f64], k: usize) {
+                    A::syrk_tiles(c_rows, lo, -1.0, p, k);
+                }
+                let mut got = start.clone();
+                let (c_rows, p) = (&mut got.as_mut_slice()[lo * k..], &p[..]);
+                dispatch!(level, tiles(c_rows: &mut [f64], lo: usize, p: &[f64], k: usize) -> ());
+                assert!(got.max_abs_diff(&want) < 1e-12, "{level:?} k={k} lo={lo}");
+                for i in 0..k {
+                    for j in 0..k {
+                        if i < lo || j < lo || j > i {
+                            assert_eq!(
+                                got[(i, j)],
+                                start[(i, j)],
+                                "{level:?} k={k} lo={lo} ({i},{j})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

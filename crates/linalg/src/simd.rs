@@ -1,13 +1,15 @@
 //! Runtime SIMD dispatch shared by every explicitly vectorized kernel.
 //!
-//! The crate's hand-written AVX2+FMA kernels ([`crate::gemm`], the panel
-//! kernels [`crate::syrk_ld_lower`]/[`crate::gemv_t_acc`], and
-//! [`crate::Mat::matvec_t_into`]) all gate on one predicate instead of
-//! re-detecting features at every call site. The decision is made once per
-//! process and cached:
+//! The crate's hand-written vector kernels ([`crate::gemm`], the panel
+//! kernels [`crate::syrk_ld_lower`]/[`crate::gemv_t_acc`], the `K × K`
+//! stage — [`crate::cholesky_in_place`] and the triangular solves — and
+//! [`crate::Mat::matvec_t_into`]) all gate on one decision instead of
+//! re-detecting features at every call site. It is made once per process
+//! and cached:
 //!
 //! * on `x86_64`, the CPU must report **both** AVX2 and FMA (the kernels
-//!   use fused multiply-adds on 4-lane `f64` vectors);
+//!   use fused multiply-adds on 4-lane `f64` vectors); AVX-512F on top of
+//!   that selects the 8-lane arms;
 //! * setting the environment variable `BPMF_NO_SIMD` to anything but `0`
 //!   or the empty string forces the scalar arm everywhere — this is how CI
 //!   exercises the fallback path on hosts that do have AVX2, and how a
@@ -25,8 +27,9 @@ pub enum SimdLevel {
     Scalar,
     /// 4-lane `f64` AVX2+FMA kernels.
     Avx2,
-    /// 8-lane `f64` AVX-512F kernels where a kernel has one (currently
-    /// the GEMM); kernels without a 512-bit arm use their AVX2 arm.
+    /// 8-lane `f64` AVX-512F kernels: the GEMM, the rank-d panel
+    /// accumulation and the `K × K` stage. The few kernels without a 512-bit
+    /// arm (`gemv_t_acc`, `Mat::matvec_t_into`) use their AVX2 arm.
     Avx512,
 }
 
@@ -71,6 +74,22 @@ pub fn simd_supported() -> bool {
     {
         false
     }
+}
+
+/// Every level this CPU can run, narrowest first — what the per-arm tests
+/// iterate over, so a wider arm never shadows a narrower one. Ignores
+/// `BPMF_NO_SIMD` (the tests name their arm explicitly).
+#[cfg(test)]
+pub(crate) fn supported_levels() -> Vec<SimdLevel> {
+    let mut levels = vec![SimdLevel::Scalar];
+    if simd_supported() {
+        levels.push(SimdLevel::Avx2);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            levels.push(SimdLevel::Avx512);
+        }
+    }
+    levels
 }
 
 #[cfg(test)]

@@ -16,13 +16,55 @@ use proptest::prelude::*;
 /// cache block: 0, 1, tiny, just-below/above `PANEL_BLOCK`, and several
 /// blocks plus an odd remainder.
 fn panel_case() -> impl Strategy<Value = (usize, Vec<f64>, Vec<f64>)> {
-    (1usize..=17, 0usize..=(3 * PANEL_BLOCK + 5)).prop_flat_map(|(k, d)| {
+    (1usize..=40, 0usize..=(3 * PANEL_BLOCK + 5)).prop_flat_map(|(k, d)| {
         (
             Just(k),
             proptest::collection::vec(-2.0f64..2.0, k * d),
             proptest::collection::vec(-3.0f64..3.0, d),
         )
     })
+}
+
+/// The dispatched kernel (whichever arm this process selected — CI runs the
+/// suite with and without `BPMF_NO_SIMD=1`) against the pinned scalar arm on
+/// a fixed grid: every order up to 40, so non-multiples of 4 and 8 hit every
+/// masked tile edge, times panels on both sides of the cache block. 1e-12
+/// agreement, and the strict upper triangle bit-for-bit untouched.
+#[test]
+fn dispatched_syrk_matches_scalar_on_the_full_shape_grid() {
+    const SENTINEL: f64 = -77.0;
+    for k in 1usize..=40 {
+        for d in [0usize, 1, 2, 7, 8, 9, 63, 64, 65, 200] {
+            let panel: Vec<f64> = (0..d * k)
+                .map(|i| ((i * 2654435761) % 1000) as f64 / 500.0 - 1.0)
+                .collect();
+            let start = Mat::from_fn(k, k, |i, j| {
+                if j > i {
+                    SENTINEL
+                } else {
+                    (i * 31 + j) as f64 * 0.1
+                }
+            });
+            let mut dispatched = start.clone();
+            let mut scalar = start.clone();
+            syrk_ld_lower(&mut dispatched, 0.9, &panel, k);
+            syrk_ld_lower_scalar(&mut scalar, 0.9, &panel, k);
+            for i in 0..k {
+                for j in 0..k {
+                    if j > i {
+                        assert_eq!(dispatched[(i, j)], SENTINEL, "k={k} d={d}: upper ({i},{j})");
+                        assert_eq!(
+                            scalar[(i, j)],
+                            SENTINEL,
+                            "k={k} d={d}: scalar upper ({i},{j})"
+                        );
+                    }
+                }
+            }
+            let diff = dispatched.max_abs_diff(&scalar);
+            assert!(diff < 1e-12, "k={k} d={d}: {diff:e}");
+        }
+    }
 }
 
 proptest! {
@@ -59,8 +101,8 @@ proptest! {
 
     #[test]
     fn dispatched_syrk_matches_forced_scalar((k, panel, _w) in panel_case()) {
-        // The runtime-dispatched kernel (AVX2 when available, or whatever
-        // BPMF_NO_SIMD leaves live) against the pinned scalar arm: both are
+        // The runtime-dispatched kernel (the widest arm the CPU has, or
+        // whatever BPMF_NO_SIMD leaves live) against the pinned scalar arm: both are
         // re-associations of the same sum, so 1e-12 agreement must hold for
         // every shape including the ragged triangle edges.
         let mut dispatched = Mat::from_fn(k, k, |i, j| ((i * 17 + j) as f64).cos());

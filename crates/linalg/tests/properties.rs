@@ -6,10 +6,70 @@
 //! generated family, not just hand-picked examples.
 
 use bpmf_linalg::{
-    chol_downdate, chol_update, cholesky_in_place, cholesky_in_place_parallel, vecops, Cholesky,
-    Mat,
+    chol_downdate, chol_update, cholesky_in_place, cholesky_in_place_parallel, solve_lower,
+    solve_lower_transpose, vecops, Cholesky, LinalgError, Mat,
 };
 use proptest::prelude::*;
+
+/// `B Bᵀ + n·I` from a fixed pseudo-random `B`: SPD and well conditioned.
+fn spd_of_order(n: usize) -> Mat {
+    let b = Mat::from_fn(n, n, |i, j| ((i * 37 + j * 11) % 19) as f64 / 19.0 - 0.5);
+    let mut a = b.matmul_transb(&b);
+    for i in 0..n {
+        a[(i, i)] += n as f64;
+    }
+    a
+}
+
+/// The K×K stage through the public (dispatched) entry points — CI runs this
+/// suite with and without `BPMF_NO_SIMD=1` — at orders below, at and beside
+/// the kernels' block edge of eight.
+#[test]
+fn kxk_stage_holds_at_block_edges() {
+    for n in [1usize, 2, 3, 8, 31, 32, 33, 64] {
+        let a = spd_of_order(n);
+        let chol = Cholesky::factor(&a).unwrap();
+        let diff = chol.reconstruct().max_abs_diff(&a);
+        assert!(diff <= 1e-10, "n={n}: reconstruct {diff:e}");
+
+        // Both triangular solves against dense products with L and Lᵀ.
+        let l = chol.l();
+        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
+        let mut b = l.matvec(&x_true);
+        solve_lower(l, &mut b);
+        let mut bt = l.transpose().matvec(&x_true);
+        solve_lower_transpose(l, &mut bt);
+        for ((f, t), want) in b.iter().zip(&bt).zip(&x_true) {
+            assert!((f - want).abs() < 1e-10, "n={n}: forward {f} vs {want}");
+            assert!((t - want).abs() < 1e-10, "n={n}: transposed {t} vs {want}");
+        }
+
+        // Rank-one update against refactorization.
+        let x: Vec<f64> = (0..n).map(|i| 0.4 * (i as f64 + 1.0).sin()).collect();
+        let mut updated = a.clone();
+        updated.syrk_lower(1.0, &x);
+        let direct = Cholesky::factor(&updated).unwrap();
+        let mut inc = chol.clone();
+        chol_update(inc.l_mut(), &mut x.clone());
+        let diff = inc.l().max_abs_diff(direct.l());
+        assert!(diff < 1e-10, "n={n}: chol_update {diff:e}");
+    }
+}
+
+/// A matrix whose leading minor first fails at column `bad` is rejected with
+/// exactly that pivot, wherever the column sits in its block.
+#[test]
+fn non_spd_input_reports_the_first_failing_pivot() {
+    let n = 33;
+    for bad in [0usize, 7, 8, 9, 20, 32] {
+        let mut a = spd_of_order(n);
+        a[(bad, bad)] -= 10.0 * n as f64;
+        match cholesky_in_place(&mut a) {
+            Err(LinalgError::NotPositiveDefinite { pivot }) => assert_eq!(pivot, bad),
+            other => panic!("bad={bad}: expected NotPositiveDefinite, got {other:?}"),
+        }
+    }
+}
 
 fn spd_matrix(max_n: usize) -> impl Strategy<Value = Mat> {
     (

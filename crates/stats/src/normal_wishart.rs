@@ -7,7 +7,7 @@
 //! distributed runtime can reduce [`SuffStats`] across ranks and have every
 //! rank draw an identical hyperparameter sample from a shared RNG stream.
 
-use bpmf_linalg::{Cholesky, Mat};
+use bpmf_linalg::{gemv_t_acc, syrk_ld_lower, Cholesky, Mat, PANEL_BLOCK};
 
 use crate::mvn::sample_mvn_from_precision;
 use crate::rng::Xoshiro256pp;
@@ -54,12 +54,32 @@ impl SuffStats {
         self.scatter.syrk_lower(1.0, row);
     }
 
+    /// Fold a contiguous row-major run of factor rows in (`rows.len()` must
+    /// be a multiple of `K`).
+    ///
+    /// A run of rows is already the panel shape the item update's blocked
+    /// kernels take, so the scatter is one rank-d [`syrk_ld_lower`] per
+    /// [`PANEL_BLOCK`] rows and the sum one [`gemv_t_acc`] against ones,
+    /// both on the block while it is cache-resident — instead of a rank-1
+    /// pass over the whole `K × K` accumulator per row.
+    pub fn add_rows(&mut self, rows: &[f64]) {
+        const ONES: [f64; PANEL_BLOCK] = [1.0; PANEL_BLOCK];
+        let k = self.dim();
+        if k == 0 {
+            return;
+        }
+        assert_eq!(rows.len() % k, 0, "row dimension mismatch");
+        self.n += rows.len() / k;
+        for block in rows.chunks(PANEL_BLOCK * k) {
+            syrk_ld_lower(&mut self.scatter, 1.0, block, k);
+            gemv_t_acc(&mut self.sum, block, &ONES[..block.len() / k]);
+        }
+    }
+
     /// Accumulate every row of an `N × K` factor matrix.
     pub fn from_rows(m: &Mat) -> Self {
         let mut s = SuffStats::new(m.cols());
-        for i in 0..m.rows() {
-            s.add_row(m.row(i));
-        }
+        s.add_rows(m.as_slice());
         s
     }
 
@@ -71,12 +91,16 @@ impl SuffStats {
         assert_eq!(m.rows(), offsets.rows(), "offset row count mismatch");
         assert_eq!(m.cols(), offsets.cols(), "offset dimension mismatch");
         let mut s = SuffStats::new(m.cols());
-        let mut resid = vec![0.0; m.cols()];
-        for i in 0..m.rows() {
-            for ((r, &v), &g) in resid.iter_mut().zip(m.row(i)).zip(offsets.row(i)) {
-                *r = v - g;
-            }
-            s.add_row(&resid);
+        let block_len = PANEL_BLOCK * m.cols().max(1);
+        let mut resid = Vec::with_capacity(block_len.min(m.as_slice().len()));
+        for (vals, offs) in m
+            .as_slice()
+            .chunks(block_len)
+            .zip(offsets.as_slice().chunks(block_len))
+        {
+            resid.clear();
+            resid.extend(vals.iter().zip(offs).map(|(v, g)| v - g));
+            s.add_rows(&resid);
         }
         s
     }
@@ -263,6 +287,43 @@ mod tests {
         let fb = bulk.to_flat();
         for (x, y) in fa.iter().zip(&fb) {
             assert!((x - y).abs() < 1e-12);
+        }
+    }
+
+    /// The panel path (`add_rows`, behind `from_rows`/`from_residual_rows`)
+    /// is a re-association of the per-row sums: same count, same moments,
+    /// for row counts on both sides of the panel block and any `K`.
+    #[test]
+    fn panel_accumulation_matches_per_row() {
+        for k in [1usize, 3, 8, 32] {
+            for n in [0usize, 1, 63, 64, 65, 200] {
+                let m = Mat::from_fn(n, k, |i, j| ((i * 7 + j * 13) % 29) as f64 * 0.1 - 1.3);
+                let off = Mat::from_fn(n, k, |i, j| ((i + 3 * j) % 5) as f64 * 0.25);
+                let mut per_row = SuffStats::new(k);
+                let mut per_row_resid = SuffStats::new(k);
+                for i in 0..n {
+                    per_row.add_row(m.row(i));
+                    let r: Vec<f64> = m
+                        .row(i)
+                        .iter()
+                        .zip(off.row(i))
+                        .map(|(v, g)| v - g)
+                        .collect();
+                    per_row_resid.add_row(&r);
+                }
+                for (got, want) in [
+                    (SuffStats::from_rows(&m), per_row),
+                    (SuffStats::from_residual_rows(&m, &off), per_row_resid),
+                ] {
+                    assert_eq!(got.count(), want.count(), "k={k} n={n}");
+                    for (x, y) in got.to_flat().iter().zip(&want.to_flat()) {
+                        assert!(
+                            (x - y).abs() <= 1e-10 * (1.0 + y.abs()),
+                            "k={k} n={n}: {x} vs {y}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -68,13 +68,23 @@ fn checkpoint_fixture() -> SamplerCheckpoint {
     }
 }
 
+/// A temp-dir path no other call can share: tests of this binary run on
+/// parallel threads of one process, so the pid alone does not separate two
+/// callers — the counter does.
+fn unique_temp_path(stem: &str, ext: &str) -> std::path::PathBuf {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "bpmf-integrity-{stem}-{}-{}.{ext}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
 /// Checkpoint fixture as the exact bytes `write_checkpoint_sync` puts on
 /// disk (integrity header + JSON payload).
 fn checkpoint_bytes() -> Vec<u8> {
-    let path = std::env::temp_dir().join(format!(
-        "bpmf-integrity-fixture-{}.json",
-        std::process::id()
-    ));
+    let path = unique_temp_path("fixture", "json");
     write_checkpoint_sync(&path, &checkpoint_fixture()).expect("write fixture checkpoint");
     let bytes = std::fs::read(&path).expect("read fixture back");
     std::fs::remove_file(&path).ok();
@@ -215,8 +225,7 @@ proptest! {
 /// ordinary I/O failures — the supervisor branches on exactly this.
 #[test]
 fn mapped_slab_open_surfaces_corruption_as_integrity() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("bpmf-integrity-slab-{}.slab", std::process::id()));
+    let path = unique_temp_path("slab", "slab");
     let bytes = slab_fixture();
     std::fs::write(&path, &bytes).expect("write slab");
     assert!(MappedSlab::open(&path).is_ok(), "pristine slab must open");
@@ -248,8 +257,7 @@ fn mapped_slab_open_surfaces_corruption_as_integrity() {
 /// check) round-trips pristine files and rejects damaged ones typed.
 #[test]
 fn resume_path_rejects_damaged_checkpoints() {
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("bpmf-integrity-ckpt-{}.json", std::process::id()));
+    let path = unique_temp_path("ckpt", "json");
     write_checkpoint_sync(&path, &checkpoint_fixture()).expect("write checkpoint");
     let back = read_checkpoint(&path).expect("pristine checkpoint loads");
     assert_eq!(back.iter, 9);
