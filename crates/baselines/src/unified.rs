@@ -284,13 +284,6 @@ impl Trainer for AlsRecommenderTrainer {
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
     }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -393,13 +386,6 @@ impl Trainer for SgdRecommenderTrainer {
         self.model
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
-    }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
     }
 }
 
@@ -512,13 +498,6 @@ impl Trainer for SgmcmcRecommenderTrainer {
         self.model
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
-    }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
     }
 }
 

@@ -49,8 +49,7 @@
 //! transparently when one dies. `--fault-plan` (or the `BPMF_FAULT_PLAN`
 //! env var) arms deterministic fault injection for chaos drills.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::io::{BufReader, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -680,6 +679,21 @@ fn run_pack(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Bind the serving address and announce it. `SO_REUSEADDR` lets a
+/// replacement replica reclaim a crashed predecessor's address without
+/// waiting out TIME_WAIT — the router's replica list is fixed at startup,
+/// so restarts must reuse the port. Scripts (and the CI e2e harness)
+/// discover an ephemeral port from the `serving on` line, so it goes to
+/// stdout and is flushed before serving.
+fn listen(opts: &Options) -> Result<std::net::TcpListener, CliError> {
+    let listener = net::bind_reuseaddr(opts.serve.addr.as_str())
+        .map_err(|e| CliError::new(format!("cannot bind {}: {e}", opts.serve.addr)))?;
+    install_shutdown_handler();
+    println!("serving on {}", listener.local_addr()?);
+    std::io::stdout().flush()?;
+    Ok(listener)
+}
+
 /// The `serve-daemon` subcommand, once training has finished: wrap the
 /// fitted model in the coalescing TCP daemon and block until shutdown.
 fn run_daemon(
@@ -755,17 +769,7 @@ fn run_daemon(
         exclude_seen: opts.recommend.exclude_seen,
         faults,
     };
-    // SO_REUSEADDR so a replacement replica can reclaim a crashed
-    // predecessor's address without waiting out TIME_WAIT — the router's
-    // replica list is fixed at startup, so restarts must reuse the port.
-    let listener = net::bind_reuseaddr(opts.serve.addr.as_str())
-        .map_err(|e| CliError::new(format!("cannot bind {}: {e}", opts.serve.addr)))?;
-    let addr = listener.local_addr()?;
-    install_shutdown_handler();
-    // Scripts (and the CI e2e harness) discover an ephemeral port from
-    // this line, so it goes to stdout and is flushed before serving.
-    println!("serving on {addr}");
-    std::io::stdout().flush()?;
+    let listener = listen(opts)?;
     eprintln!(
         "serve-daemon: batch window {} ms, {} worker(s), queue cap {}, \
          default policy {}; stop with ctrl-c or a {{\"cmd\":\"shutdown\"}} request",
@@ -785,13 +789,7 @@ fn run_daemon(
 /// of shard daemons, speaking the same newline-JSON wire protocol on both
 /// sides so `serve-client` (and any PR-5 client) works unchanged.
 fn run_router(opts: &Options) -> Result<(), CliError> {
-    let listener = net::bind_reuseaddr(opts.serve.addr.as_str())
-        .map_err(|e| CliError::new(format!("cannot bind {}: {e}", opts.serve.addr)))?;
-    let addr = listener.local_addr()?;
-    install_shutdown_handler();
-    // Same port-discovery line as the daemon so scripts treat both alike.
-    println!("serving on {addr}");
-    std::io::stdout().flush()?;
+    let listener = listen(opts)?;
     let faults = resolve_fault_plan(opts)?;
     if faults.is_some() {
         eprintln!("serve-router: FAULT INJECTION ARMED (drill mode, not production)");
@@ -923,15 +921,22 @@ fn run_fleet(opts: &Options) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Connect with retry and seeded jittered exponential backoff (10 ms
-/// envelope doubling to 500 ms, ~10 s budget) so scripts can launch a
-/// daemon or router and immediately fire clients, with no sleep-based
-/// startup synchronization. The jitter seed mixes the process id with
-/// the target address: the 16+ concurrent clients CI fires at one
-/// starting server retry desynchronized instead of stampeding it in
-/// lockstep. Only "not up yet" failures are retried; anything else
-/// fails fast.
-fn connect_with_retry(addr: &str) -> Result<TcpStream, CliError> {
+/// One synchronous request round trip on its own connection
+/// ([`net::round_trip`], 30 s patience per stage); a typed error reply
+/// becomes a CLI error prefixed with `refused`, naming the stable failure
+/// class too, since scripts grep for it. Connects retry with
+/// seeded jittered exponential backoff (10 ms envelope doubling to
+/// 500 ms, ~10 s budget) so scripts can launch a daemon or router and
+/// immediately fire clients, with no sleep-based startup synchronization.
+/// The jitter seed mixes the process id with the target address: the 16+
+/// concurrent clients CI fires at one starting server retry
+/// desynchronized instead of stampeding it in lockstep. Only "not up yet"
+/// connect failures are retried, so a request is never sent twice.
+fn client_request(
+    addr: &str,
+    req: &wire::Request,
+    refused: &str,
+) -> Result<wire::Response, CliError> {
     let deadline = Instant::now() + Duration::from_secs(10);
     // FNV-1a over the address, salted with the pid.
     let seed = addr.bytes().fold(
@@ -940,50 +945,38 @@ fn connect_with_retry(addr: &str) -> Result<TcpStream, CliError> {
     );
     let mut attempt = 0u32;
     loop {
-        match TcpStream::connect(addr) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => {
-                let transient = matches!(
-                    e.kind(),
-                    std::io::ErrorKind::ConnectionRefused
-                        | std::io::ErrorKind::ConnectionReset
-                        | std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::TimedOut
-                );
-                let backoff = net::jittered_backoff(
-                    attempt,
-                    Duration::from_millis(10),
-                    Duration::from_millis(500),
-                    seed,
-                );
-                if !transient || Instant::now() + backoff >= deadline {
-                    return Err(CliError::new(format!("cannot connect to {addr}: {e}")));
-                }
-                std::thread::sleep(backoff);
-                attempt = attempt.saturating_add(1);
+        let e = match net::round_trip(addr, req, Duration::from_secs(30)) {
+            Ok(wire::Response {
+                error: Some(err),
+                code,
+                ..
+            }) => {
+                let code = code.map(|c| format!(" [{c}]")).unwrap_or_default();
+                return Err(CliError::new(format!("{refused}: {err}{code}")));
             }
+            Ok(resp) => return Ok(resp),
+            Err(net::RoundTripError::Connect(e)) => e,
+            Err(e) => return Err(CliError::new(e.to_string())),
+        };
+        let transient = matches!(
+            e.kind(),
+            std::io::ErrorKind::ConnectionRefused
+                | std::io::ErrorKind::ConnectionReset
+                | std::io::ErrorKind::ConnectionAborted
+                | std::io::ErrorKind::TimedOut
+        );
+        let backoff = net::jittered_backoff(
+            attempt,
+            Duration::from_millis(10),
+            Duration::from_millis(500),
+            seed,
+        );
+        if !transient || Instant::now() + backoff >= deadline {
+            return Err(CliError::new(format!("cannot connect to {addr}: {e}")));
         }
+        std::thread::sleep(backoff);
+        attempt = attempt.saturating_add(1);
     }
-}
-
-/// One synchronous request round trip on its own connection.
-fn client_request(addr: &str, req: &wire::Request) -> Result<wire::Response, CliError> {
-    let stream = connect_with_retry(addr)?;
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
-    let mut write_half = stream
-        .try_clone()
-        .map_err(|e| CliError::new(format!("socket clone failed: {e}")))?;
-    writeln!(write_half, "{}", wire::encode(req))?;
-    write_half.flush()?;
-    let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line)?;
-    if line.is_empty() {
-        return Err(CliError::new(
-            "daemon closed the connection without replying",
-        ));
-    }
-    wire::decode_response(&line).map_err(CliError::new)
 }
 
 /// The `serve-client` subcommand: one concurrent connection per `--user`
@@ -1019,7 +1012,7 @@ fn run_client(opts: &Options) -> Result<(), CliError> {
                         exclude_seen: Some(opts.recommend.exclude_seen),
                         ..wire::Request::default()
                     };
-                    client_request(addr, &req)
+                    client_request(addr, &req, &format!("user {user}: daemon replied"))
                 })
             })
             .collect();
@@ -1031,18 +1024,7 @@ fn run_client(opts: &Options) -> Result<(), CliError> {
     // Validate every reply before printing anything — the same
     // no-partial-output invariant the `recommend` subcommand keeps, so
     // the two outputs stay diffable even on mixed-validity request sets.
-    let mut replies = Vec::with_capacity(users.len());
-    for (&user, result) in users.iter().zip(results) {
-        let resp = result?;
-        if let Some(err) = resp.error {
-            // Surface the stable failure class too; scripts grep for it.
-            let code = resp.code.map(|c| format!(" [{c}]")).unwrap_or_default();
-            return Err(CliError::new(format!(
-                "user {user}: daemon replied: {err}{code}"
-            )));
-        }
-        replies.push(resp);
-    }
+    let replies = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     for (&user, resp) in users.iter().zip(&replies) {
@@ -1060,7 +1042,8 @@ fn run_client(opts: &Options) -> Result<(), CliError> {
     // Diagnostics print the structured report verbatim (one JSON line per
     // command) so ops tooling can pipe them straight into a parser.
     if opts.serve.health {
-        let resp = command_roundtrip(addr, wire::CMD_HEALTH)?;
+        let health = wire::Request::command(wire::CMD_HEALTH);
+        let resp = client_request(addr, &health, "health failed")?;
         let report = resp
             .health
             .ok_or_else(|| CliError::new("health reply carried no report"))?;
@@ -1070,7 +1053,8 @@ fn run_client(opts: &Options) -> Result<(), CliError> {
         );
     }
     if opts.serve.stats {
-        let resp = command_roundtrip(addr, wire::CMD_STATS)?;
+        let stats = wire::Request::command(wire::CMD_STATS);
+        let resp = client_request(addr, &stats, "stats failed")?;
         let report = resp
             .stats
             .ok_or_else(|| CliError::new("stats reply carried no report"))?;
@@ -1084,16 +1068,10 @@ fn run_client(opts: &Options) -> Result<(), CliError> {
     // epoch is the proof the swap landed.
     if let Some(path) = &opts.serve.reload {
         let req = wire::Request {
-            v: wire::WIRE_VERSION,
-            cmd: wire::CMD_RELOAD.to_string(),
             path: path.clone(),
-            ..wire::Request::default()
+            ..wire::Request::command(wire::CMD_RELOAD)
         };
-        let resp = client_request(addr, &req)?;
-        if let Some(err) = resp.error {
-            let code = resp.code.map(|c| format!(" [{c}]")).unwrap_or_default();
-            return Err(CliError::new(format!("reload refused: {err}{code}")));
-        }
+        let resp = client_request(addr, &req, "reload refused")?;
         let epoch = resp
             .model_epoch
             .ok_or_else(|| CliError::new("reload reply carried no model epoch"))?;
@@ -1104,20 +1082,14 @@ fn run_client(opts: &Options) -> Result<(), CliError> {
     // present, list within --top-n) before printing, like `--user` does.
     if let Some(pairs) = &opts.serve.fold_in {
         let req = wire::Request {
-            v: wire::WIRE_VERSION,
-            cmd: wire::CMD_FOLD_IN.to_string(),
             ratings: pairs
                 .iter()
                 .map(|&(item, rating)| wire::RatedItem { item, rating })
                 .collect(),
             top_n: opts.recommend.top_n,
-            ..wire::Request::default()
+            ..wire::Request::command(wire::CMD_FOLD_IN)
         };
-        let resp = client_request(addr, &req)?;
-        if let Some(err) = resp.error {
-            let code = resp.code.map(|c| format!(" [{c}]")).unwrap_or_default();
-            return Err(CliError::new(format!("fold-in refused: {err}{code}")));
-        }
+        let resp = client_request(addr, &req, "fold-in refused")?;
         if resp.factors.is_empty() {
             return Err(CliError::new("fold-in reply carried no user factors"));
         }
@@ -1149,33 +1121,11 @@ fn run_client(opts: &Options) -> Result<(), CliError> {
         out.flush()?;
     }
     if opts.serve.shutdown {
-        let req = wire::Request {
-            cmd: wire::CMD_SHUTDOWN.to_string(),
-            ..wire::Request::default()
-        };
-        let resp = client_request(addr, &req)?;
-        if let Some(err) = resp.error {
-            return Err(CliError::new(format!("shutdown refused: {err}")));
-        }
+        let shutdown = wire::Request::command(wire::CMD_SHUTDOWN);
+        client_request(addr, &shutdown, "shutdown refused")?;
         eprintln!("daemon acknowledged shutdown");
     }
     Ok(())
-}
-
-/// One command-only round trip (health/stats/shutdown-style requests),
-/// converting an error reply into a hard CLI error.
-fn command_roundtrip(addr: &str, cmd: &str) -> Result<wire::Response, CliError> {
-    let req = wire::Request {
-        v: wire::WIRE_VERSION,
-        cmd: cmd.to_string(),
-        ..wire::Request::default()
-    };
-    let resp = client_request(addr, &req)?;
-    if let Some(err) = resp.error {
-        let code = resp.code.map(|c| format!(" [{c}]")).unwrap_or_default();
-        return Err(CliError::new(format!("{cmd} failed: {err}{code}")));
-    }
-    Ok(resp)
 }
 
 fn write_checkpoint(path: &str, ckpt: &SamplerCheckpoint) -> Result<(), CliError> {

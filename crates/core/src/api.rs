@@ -250,16 +250,6 @@ pub trait Trainer {
         self.shared_model()
             .map(|model| ModelHandle::new(model, epoch))
     }
-
-    /// The fitted model as a thread-shareable reference, for concurrent
-    /// serving.
-    #[deprecated(
-        note = "borrowed-for-life serving surface; use `Trainer::model_handle` \
-                (or `shared_model`) so serving can swap models live"
-    )]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        None
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1588,13 +1578,6 @@ impl Trainer for GibbsTrainer {
             .clone()
             .map(|m| m as Arc<dyn Recommender + Send + Sync>)
     }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
-    }
 }
 
 #[cfg(test)]
@@ -2019,18 +2002,6 @@ mod tests {
             PosteriorModel::from_checkpoint(&ckpt, 0.0, None, 2.0),
             Err(BpmfError::CheckpointMismatch(_))
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_recommender_shim_still_serves() {
-        let trainer = fitted_trainer();
-        let shim = trainer.shared_recommender().expect("shim still works");
-        let via_handle = trainer.model_handle(1).unwrap();
-        assert_eq!(
-            shim.predict(0, 1).to_bits(),
-            via_handle.load().model().predict(0, 1).to_bits()
-        );
     }
 
     #[test]

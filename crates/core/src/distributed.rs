@@ -956,13 +956,6 @@ impl Trainer for DistributedTrainer {
             .clone()
             .map(|m| m as std::sync::Arc<dyn Recommender + Send + Sync>)
     }
-
-    #[allow(deprecated)]
-    fn shared_recommender(&self) -> Option<&(dyn Recommender + Sync)> {
-        self.model
-            .as_deref()
-            .map(|m| m as &(dyn Recommender + Sync))
-    }
 }
 
 /// Rank-local squared error over owned test points, then a deterministic

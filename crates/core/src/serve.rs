@@ -33,6 +33,19 @@
 //!   turns micro-batching from an offline trick into a serving
 //!   architecture by *coalescing* genuinely concurrent traffic.
 //!
+//! # The connection layer
+//!
+//! Every TCP endpoint of the tier — the daemon's and the router's client
+//! connections, the router's replica links — runs through one connection
+//! layer, [`net`]: one accept loop, one framed reader per connection
+//! (newline-delimited, `MAX_LINE`, shutdown drain deadline), one
+//! drain-then-flush writer thread per connection, and one admission
+//! prefix for request lines ([`wire::admit`]: decode, refuse a future
+//! protocol version). Every one-shot exchange — the router's probes, the
+//! supervisor's reload pushes and health pings, `serve-client` — is the
+//! one [`net::round_trip`]. The diagrams below show each endpoint's
+//! *logic*; the socket plumbing under every `conn` box is that layer.
+//!
 //! # Daemon architecture
 //!
 //! The daemon decouples request arrival from batched computation (the
@@ -40,21 +53,21 @@
 //! serving):
 //!
 //! ```text
-//!  client conns          bounded MPSC            worker pool
+//!  net conns             bounded MPSC            worker pool
 //!  ┌──────────┐  submit  ┌───────────┐  batch   ┌─────────────────────┐
-//!  │ reader 0 ├───────┐  │ coalesce  │ ≤64 reqs │ RecommendService #0 │
-//!  │ reader 1 ├───────┼─▶│  ::Queue  ├─────────▶│ RecommendService #1 │
-//!  │ reader N ├───────┘  │ (deadline │          │   … recommend_each  │
+//!  │  conn 0  ├───────┐  │ coalesce  │ ≤64 reqs │ RecommendService #0 │
+//!  │  conn 1  ├───────┼─▶│  ::Queue  ├─────────▶│ RecommendService #1 │
+//!  │  conn N  ├───────┘  │ (deadline │          │   … recommend_each  │
 //!  └──────────┘          │  │ size)  │          │   one GEMM / block  │
 //!        ▲               └───────────┘          └──────────┬──────────┘
-//!        └────────────── per-connection writer ◀───────────┘
+//!        └──────────────── reply channel ◀─────────────────┘
 //! ```
 //!
-//! * Every connection reader parses newline-delimited JSON ([`wire`]),
-//!   resolves per-request policy/filters against the daemon defaults, and
-//!   submits to one **bounded** queue ([`coalesce::Queue`]) — a full
-//!   queue blocks the reader, which is the backpressure that keeps a
-//!   traffic spike from ballooning memory.
+//! * Each connection admits its lines, resolves per-request
+//!   policy/filters against the daemon defaults, and submits to one
+//!   **bounded** queue ([`coalesce::Queue`]) — a full queue blocks the
+//!   connection's reader, which is the backpressure that keeps a traffic
+//!   spike from ballooning memory.
 //! * Workers drain the queue in **blocks**: a batch flushes when
 //!   [`MICRO_BATCH`] requests are pending *or* the oldest request has
 //!   waited `batch_window`, whichever comes first. The window is the
@@ -67,8 +80,8 @@
 //! * Each worker owns a [`RecommendService`] over the *shared* model, so
 //!   the transposed/packed factor caches (`OnceLock`) are built once per
 //!   process and shared by every worker, and each user's reply is routed
-//!   back to its originating connection through the per-connection
-//!   writer.
+//!   back to its originating connection's writer through the
+//!   connection's reply channel.
 //!
 //! Results are **arrival-order independent**: scoring is per-row
 //! deterministic regardless of batch composition, and Thompson draws are
@@ -94,6 +107,7 @@
 //!  │  gather  ─► k-way merge     │   unsupported_version
 //!  └──┬─────────┬─────────┬─────┘
 //!     │ persistent, pipelined, reconnect-with-backoff links
+//!     │ (net conns too: one scatter flush per client read)
 //!     ▼         ▼         ▼
 //!  ┌───────┐ ┌───────┐ ┌───────┐   each daemon serves one contiguous
 //!  │shard 0│ │shard 1│ │shard 2│   GEMM_NC-aligned item range
@@ -368,8 +382,9 @@ impl FromStr for RankPolicy {
 /// for the kernel's row tiles. At KC = NC = 256 that lands on 128 users —
 /// double the old hardcoded 64, and it now tracks any retuning of
 /// [`bpmf_linalg::GEMM_KC`]/[`bpmf_linalg::GEMM_NC`] automatically. The
-/// `perf_snapshot` serve section records the measured B = 64 vs B = 256
-/// throughput delta if this needs re-checking on new hardware.
+/// layered benchmark's traced `serve_sat` pass reports the batch the
+/// daemon actually forms (`coalesce.mean_batch`) beside the per-request
+/// batch cost, if this needs re-checking on new hardware.
 pub const MICRO_BATCH: usize = {
     const L2_BUDGET_BYTES: usize = 1 << 20;
     const B: usize = (L2_BUDGET_BYTES - bpmf_linalg::GEMM_KC * bpmf_linalg::GEMM_NC * 8)

@@ -18,11 +18,9 @@
 //! dropping a single in-flight request (see [`serve_batches`] for the
 //! consistency guarantee).
 
-use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::time::Duration;
 
 use bpmf_sparse::Csr;
 
@@ -31,23 +29,9 @@ use crate::checkpoint::SamplerCheckpoint;
 use crate::error::BpmfError;
 use crate::serve::coalesce::{CoalesceConfig, Queue};
 use crate::serve::faults::{FaultKind, FaultPlan};
+use crate::serve::net::{self, ReadEnd};
 use crate::serve::shard::{ShardSpec, ShardView};
 use crate::serve::{wire, RankPolicy, RecommendService, ServeRequest};
-
-/// How often the accept loop re-checks the shutdown flag. Short, because
-/// it is also the worst-case wait before a new connection is picked up —
-/// accept latency lands on the client's first request.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// How often connection readers re-check the shutdown flag while blocked
-/// on a quiet socket (pure shutdown responsiveness; data arriving wakes
-/// the read immediately regardless).
-const POLL: Duration = Duration::from_millis(25);
-
-/// A protocol line longer than this kills the connection (typed error
-/// first): past it the stream is more likely desynchronized garbage than
-/// a request.
-const MAX_LINE: usize = 1 << 20;
 
 /// Everything a [`wire::CMD_RELOAD`] needs that a raw
 /// [`crate::SamplerCheckpoint`] does not carry: the training-spec values
@@ -179,46 +163,37 @@ struct Job {
 ///
 /// The listener may be bound to port 0; read the real address off
 /// `listener.local_addr()` before calling. `shutdown` is observed within
-/// [`POLL`] and may be flipped by a signal handler, another thread, or a
-/// client's `shutdown` command (the daemon flips it itself in that case).
+/// [`net::POLL`] and may be flipped by a signal handler, another thread,
+/// or a client's `shutdown` command (the daemon flips it itself in that
+/// case).
 pub fn serve(
     world: &ServingModel<'_>,
     listener: TcpListener,
     cfg: &DaemonConfig,
     shutdown: &AtomicBool,
 ) -> std::io::Result<DaemonReport> {
-    listener.set_nonblocking(true)?;
     let queue: Queue<Job> = Queue::new(cfg.coalesce);
-    let counters = Counters::default();
+    let (queue, counters) = (&queue, &Counters::default());
 
     std::thread::scope(|s| {
         for _ in 0..cfg.workers.max(1) {
-            s.spawn(|| worker_loop(world, &queue, &counters, shutdown));
+            s.spawn(|| worker_loop(world, queue, counters, shutdown));
         }
-        while !shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    counters.connections.fetch_add(1, Ordering::Relaxed);
-                    s.spawn(|| handle_connection(stream, world, cfg, &queue, shutdown, &counters));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    // Accept failure is fatal for new traffic; drain what
-                    // we have and surface the error.
-                    shutdown.store(true, Ordering::Relaxed);
-                    queue.shutdown();
-                    return Err(e);
-                }
-            }
-        }
+        let accepted = net::accept_loop(
+            &listener,
+            shutdown,
+            |stream| {
+                counters.connections.fetch_add(1, Ordering::Relaxed);
+                s.spawn(move || handle_connection(stream, world, cfg, queue, shutdown, counters));
+            },
+            || {},
+        );
         // Stop accepting, drain everything already queued, let every
         // in-flight reply reach its socket (scope join waits for the
-        // per-connection writers).
+        // per-connection writers). An accept failure is fatal for new
+        // traffic: the same drain runs, then the error surfaces.
         queue.shutdown();
-        Ok(())
+        accepted
     })?;
 
     Ok(DaemonReport {
@@ -361,8 +336,9 @@ fn serve_batches(world: &ServingModel<'_>, queue: &Queue<Job>, counters: &Counte
     }
 }
 
-/// Connection reader: split the byte stream into lines, answer each, and
-/// keep the writer alive until every in-flight reply has been delivered.
+/// One client connection: every line is answered through
+/// [`process_line`]; an oversize line gets one typed error before the
+/// connection closes.
 fn handle_connection(
     stream: TcpStream,
     world: &ServingModel<'_>,
@@ -371,85 +347,28 @@ fn handle_connection(
     shutdown: &AtomicBool,
     counters: &Counters,
 ) {
-    stream.set_nodelay(true).ok();
-    // Whether an accepted socket inherits the listener's nonblocking mode
-    // is platform-dependent (BSD inherits it, Linux does not). The reader
-    // relies on the read *timeout* below for shutdown polling — an
-    // inherited O_NONBLOCK would turn it into a busy-spin — so clear it
-    // explicitly.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    // The timeout is how a blocked reader notices shutdown.
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<wire::Response>();
-    // The writer owns its half outright ('static), so a plain thread
-    // works; the reader joins it on the way out, which keeps the scope's
-    // join honest about undelivered replies.
-    let writer = std::thread::spawn(move || writer_loop(write_half, rx));
+    net::serve_connection(
+        stream,
+        shutdown,
+        mpsc::channel(),
+        |line, tx| process_line(line, world, cfg, queue, shutdown, counters, tx),
+        |_| {},
+        |end, tx| {
+            if end == ReadEnd::Oversize {
+                reply(counters, tx, wire::Response::line_too_long());
+            }
+        },
+    );
+}
 
-    let mut stream = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    // When shutdown lands, the reader doesn't quit cold: requests whose
-    // bytes already reached this socket may not have been parsed yet, and
-    // "drain what was accepted" should include them. One bounded drain
-    // pass picks them up; the deadline keeps a client that streams
-    // through shutdown from pinning the daemon open.
-    let mut drain_deadline: Option<std::time::Instant> = None;
-    'conn: loop {
-        if shutdown.load(Ordering::Relaxed) {
-            match drain_deadline {
-                None => drain_deadline = Some(std::time::Instant::now() + 4 * POLL),
-                Some(d) if std::time::Instant::now() >= d => break,
-                Some(_) => {}
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break, // EOF: client hung up
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line);
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if !process_line(&line, world, cfg, queue, shutdown, counters, &tx) {
-                        break 'conn;
-                    }
-                }
-                if pending.len() > MAX_LINE {
-                    counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(wire::Response::failure(0, 0, "request line too long"));
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                // A quiet socket during the drain pass means nothing left
-                // to pick up.
-                if drain_deadline.is_some() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
+/// Queue `resp` on the connection's writer; every error reply counts as
+/// rejected.
+fn reply(counters: &Counters, tx: &mpsc::Sender<wire::Response>, resp: wire::Response) {
+    if resp.error.is_some() {
+        counters.rejected.fetch_add(1, Ordering::Relaxed);
     }
-    drop(tx);
-    let _ = writer.join();
+    // A send error just means the connection died first.
+    let _ = tx.send(resp);
 }
 
 /// Answer one protocol line. Returns `false` when the connection should
@@ -463,74 +382,32 @@ fn process_line(
     counters: &Counters,
     tx: &mpsc::Sender<wire::Response>,
 ) -> bool {
-    let req = match wire::decode_request(line) {
+    let req = match wire::admit(line, wire::ROLE_DAEMON) {
         Ok(req) => req,
-        Err(e) => {
-            counters.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(wire::Response::failure(0, 0, e));
+        Err(refusal) => {
+            reply(counters, tx, refusal);
             return true;
         }
     };
-    // Unversioned (`v` absent → 0) requests are the PR-5 wire dialect and
-    // stay accepted; a request from the *future* is refused rather than
-    // half-understood.
-    if req.v > wire::WIRE_VERSION {
-        counters.rejected.fetch_add(1, Ordering::Relaxed);
-        let _ = tx.send(
-            wire::Response::failure(
-                req.id,
-                req.user.unwrap_or(0),
-                format!(
-                    "unsupported protocol version {} (daemon speaks <= {})",
-                    req.v,
-                    wire::WIRE_VERSION
-                ),
-            )
-            .with_code(wire::CODE_UNSUPPORTED_VERSION),
-        );
-        return true;
-    }
+    let send = |resp| reply(counters, tx, resp);
     match req.cmd.as_str() {
-        wire::CMD_PING => {
-            let _ = tx.send(wire::Response::ack(req.id));
-            true
-        }
-        wire::CMD_HEALTH => {
-            let _ = tx.send(wire::Response::health(
-                req.id,
-                health_report(world, counters),
-            ));
-            true
-        }
-        wire::CMD_STATS => {
-            let _ = tx.send(wire::Response::stats(req.id, stats_report(world, counters)));
-            true
-        }
+        wire::CMD_PING => send(wire::Response::ack(req.id)),
+        wire::CMD_HEALTH => send(wire::Response::health(
+            req.id,
+            health_report(world, counters),
+        )),
+        wire::CMD_STATS => send(wire::Response::stats(req.id, stats_report(world, counters))),
         wire::CMD_SHUTDOWN => {
-            let _ = tx.send(wire::Response::ack(req.id));
+            send(wire::Response::ack(req.id));
             shutdown.store(true, Ordering::Relaxed);
-            false
+            return false;
         }
-        wire::CMD_RELOAD => {
-            // Runs on this connection's reader thread: checkpoint I/O,
-            // CRC verification, and model rebuild all happen *off* the
-            // worker pool's request path; only the final pointer swap is
-            // visible to serving.
-            let resp = handle_reload(&req, world, counters);
-            if resp.error.is_some() {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            let _ = tx.send(resp);
-            true
-        }
-        wire::CMD_FOLD_IN => {
-            let resp = handle_fold_in(&req, world, cfg, counters);
-            if resp.error.is_some() {
-                counters.rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            let _ = tx.send(resp);
-            true
-        }
+        // Runs on this connection's reader thread: checkpoint I/O, CRC
+        // verification, and model rebuild all happen *off* the worker
+        // pool's request path; only the final pointer swap is visible to
+        // serving.
+        wire::CMD_RELOAD => send(handle_reload(&req, world, counters)),
+        wire::CMD_FOLD_IN => send(handle_fold_in(&req, world, cfg, counters)),
         "" | wire::CMD_RECOMMEND => {
             let user = req.user.unwrap_or(0);
             // Scripted fault, claimed per recommend request so ordinals
@@ -552,10 +429,7 @@ fn process_line(
                 Some(FaultKind::PanicWorker) | None => {}
             }
             match resolve(&req, world, cfg) {
-                Err(msg) => {
-                    counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(wire::Response::failure(req.id, user, msg));
-                }
+                Err(msg) => send(wire::Response::failure(req.id, user, msg)),
                 Ok(resolved) => {
                     let job = Job {
                         id: req.id,
@@ -564,8 +438,7 @@ fn process_line(
                         poison: fault == Some(FaultKind::PanicWorker),
                     };
                     if let Err(job) = queue.submit(job) {
-                        counters.rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(
+                        send(
                             wire::Response::failure(
                                 job.id,
                                 job.req.user,
@@ -576,18 +449,10 @@ fn process_line(
                     }
                 }
             }
-            true
         }
-        other => {
-            counters.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(wire::Response::failure(
-                req.id,
-                req.user.unwrap_or(0),
-                format!("unknown cmd `{other}`"),
-            ));
-            true
-        }
+        _ => send(wire::Response::unknown_cmd(&req)),
     }
+    true
 }
 
 /// Validate a recommend request and resolve its blanks against the daemon
@@ -604,16 +469,7 @@ fn resolve(
             world.n_users
         ));
     }
-    // Clamp to the catalogue: a list can't be longer than the catalogue
-    // anyway, and an absurd network-supplied value must not size the
-    // selection heap (that would be a one-request memory DoS).
-    let top_n = if req.top_n == 0 {
-        cfg.default_top_n
-    } else {
-        req.top_n
-    }
-    .min(world.n_items)
-    .max(1);
+    let top_n = list_len(req, world, cfg);
     let policy = if req.policy.is_empty() {
         cfg.default_policy
     } else {
@@ -631,6 +487,19 @@ fn resolve(
         policy,
         exclude_seen,
     })
+}
+
+/// The list length a request gets: its own `top_n`, else the daemon
+/// default, clamped to the catalogue. A list can't be longer than the
+/// catalogue anyway, and an absurd network-supplied value must not size
+/// the selection heap (that would be a one-request memory DoS).
+fn list_len(req: &wire::Request, world: &ServingModel<'_>, cfg: &DaemonConfig) -> usize {
+    let asked = if req.top_n == 0 {
+        cfg.default_top_n
+    } else {
+        req.top_n
+    };
+    asked.min(world.n_items).max(1)
 }
 
 /// Execute a [`wire::CMD_RELOAD`]: read + CRC-verify the checkpoint,
@@ -767,13 +636,7 @@ fn handle_fold_in(
         items.push(r.item);
         vals.push(r.rating);
     }
-    let top_n = if req.top_n == 0 {
-        cfg.default_top_n
-    } else {
-        req.top_n
-    }
-    .min(world.n_items)
-    .max(1);
+    let top_n = list_len(req, world, cfg);
     let guard = world.model.load();
     let fold = match guard.model().fold_in_user(&items, &vals) {
         Ok(f) => f,
@@ -868,29 +731,5 @@ fn stats_report(world: &ServingModel<'_>, counters: &Counters) -> wire::StatsRep
         reloads: counters.reloads.load(Ordering::Relaxed),
         fold_ins: counters.fold_ins.load(Ordering::Relaxed),
         ..wire::StatsReport::default()
-    }
-}
-
-/// Connection writer: serialize replies in completion order, stop on a
-/// dead socket. Flushes are **batched**: when a coalesced batch (or a
-/// pipelining client) completes several replies for this connection at
-/// once, they leave in one syscall — the channel is drained before the
-/// flush, and only then does the writer block again.
-fn writer_loop(stream: TcpStream, rx: mpsc::Receiver<wire::Response>) {
-    let mut out = std::io::BufWriter::new(stream);
-    'live: while let Ok(first) = rx.recv() {
-        let mut resp = first;
-        loop {
-            if writeln!(out, "{}", wire::encode(&resp)).is_err() {
-                break 'live;
-            }
-            match rx.try_recv() {
-                Ok(next) => resp = next,
-                Err(_) => break,
-            }
-        }
-        if out.flush().is_err() {
-            break;
-        }
     }
 }

@@ -50,28 +50,17 @@
 //! delay/drop/link-kill faults at exact request ordinals, which is how
 //! the failover paths are tested without wall-clock races.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::serve::faults::{FaultKind, FaultPlan};
+use crate::serve::net::{self, ReadEnd};
 use crate::serve::shard::merge_top_n;
 use crate::serve::wire;
-
-/// How often the accept loop re-checks the shutdown flag (also the cadence
-/// of the request-timeout sweep).
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
-
-/// How often blocked readers (client and shard) re-check the shutdown
-/// flag on a quiet socket.
-const POLL: Duration = Duration::from_millis(25);
-
-/// A protocol line longer than this kills the connection (typed error
-/// first).
-const MAX_LINE: usize = 1 << 20;
 
 /// Router knobs. `Default`: 256 requests in flight, 5 s shard patience,
 /// 2 retries per request, 50 ms–2 s reconnect backoff, top-10 lists, no
@@ -104,7 +93,7 @@ pub struct RouterConfig {
     /// Seed for reconnect-backoff jitter. Each link mixes its own group
     /// and replica indices in, so after a fleet-wide event the links
     /// desynchronize instead of reconnecting in lockstep (see
-    /// [`super::net::jittered_backoff`]).
+    /// [`net::jittered_backoff`]).
     pub jitter_seed: u64,
 }
 
@@ -175,8 +164,8 @@ struct Pending {
     top_n: usize,
     /// The way home: the owning client connection's writer channel.
     reply: mpsc::Sender<wire::Response>,
-    /// The forwarded request line (router-assigned id, no newline) —
-    /// re-sent verbatim on failover, which is sound because scoring is a
+    /// The forwarded request line (router-assigned id, newline-terminated)
+    /// — re-sent verbatim on failover, which is sound because scoring is a
     /// deterministic read: any replica of the range returns the same
     /// bytes, and a duplicated execution is merely wasted work.
     line: String,
@@ -290,7 +279,6 @@ pub fn serve(
         groups.iter().all(|g| !g.is_empty()),
         "every shard range needs at least one replica address"
     );
-    listener.set_nonblocking(true)?;
     let router = Router {
         cfg: cfg.clone(),
         groups: groups
@@ -326,27 +314,21 @@ pub fn serve(
             }
         }
         let mut last_sweep = Instant::now();
-        while !shutdown.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    router.counters.connections.fetch_add(1, Ordering::Relaxed);
-                    s.spawn(|| handle_client(router, stream));
+        net::accept_loop(
+            &listener,
+            shutdown,
+            |stream| {
+                router.counters.connections.fetch_add(1, Ordering::Relaxed);
+                s.spawn(move || handle_client(router, stream));
+            },
+            // The request-timeout sweep rides the accept loop's tick.
+            || {
+                if last_sweep.elapsed() >= net::POLL {
+                    sweep_timeouts(router);
+                    last_sweep = Instant::now();
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL)
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    shutdown.store(true, Ordering::Relaxed);
-                    return Err(e);
-                }
-            }
-            if last_sweep.elapsed() >= POLL {
-                sweep_timeouts(router);
-                last_sweep = Instant::now();
-            }
-        }
-        Ok(())
+            },
+        )
     })?;
 
     // The scope join waited for every client connection to drain; anything
@@ -369,6 +351,10 @@ pub fn serve(
 // Replica links
 // ---------------------------------------------------------------------------
 
+/// How long a link connect or a health/stats probe waits for a replica
+/// before declaring it unreachable.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+
 /// Own one replica link for the router's lifetime: connect (with
 /// exponential backoff), gate on epoch agreement, pump replies, and on
 /// any drop move the requests the dead replica still owed onto a
@@ -381,7 +367,7 @@ fn shard_link_loop(router: &Router<'_>, g: usize, r: usize) {
     let mut attempt = 0u32;
     let mut reconnecting = false;
     while !router.shutdown.load(Ordering::Relaxed) {
-        match TcpStream::connect(&slot.addr) {
+        match net::connect(&slot.addr, PROBE_TIMEOUT) {
             Ok(stream) => {
                 if !epoch_admits(router, g, r) {
                     // Divergent checkpoint: serving through it would break
@@ -397,9 +383,6 @@ fn shard_link_loop(router: &Router<'_>, g: usize, r: usize) {
                 reconnecting = true;
                 attempt = 0;
                 run_shard_link(router, g, r, stream);
-                slot.up.store(false, Ordering::Relaxed);
-                *slot.tx.lock().unwrap() = None;
-                *slot.kill.lock().unwrap() = None;
                 // Whatever was awaiting this replica will never arrive:
                 // fail over to a surviving twin, or fail typed.
                 fail_or_failover(router, g, r);
@@ -414,7 +397,7 @@ fn shard_link_loop(router: &Router<'_>, g: usize, r: usize) {
         if router.shutdown.load(Ordering::Relaxed) {
             break;
         }
-        std::thread::sleep(super::net::jittered_backoff(
+        std::thread::sleep(net::jittered_backoff(
             attempt,
             router.cfg.reconnect_base,
             router.cfg.reconnect_max,
@@ -464,112 +447,42 @@ fn maybe_unpin_epoch(router: &Router<'_>, g: usize) {
     }
 }
 
-/// Drive one live replica connection until it drops or shutdown.
+/// Drive one live replica connection until it drops or shutdown: scatter
+/// buffers go out through the link's writer, and every reply line lands
+/// in the pending table. An oversize reply line means a desynchronized
+/// stream, so the link just drops.
 fn run_shard_link(router: &Router<'_>, g: usize, r: usize, stream: TcpStream) {
     let slot = &router.groups[g].replicas[r];
-    stream.set_nodelay(true).ok();
-    if stream.set_nonblocking(false).is_err() || stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
     *slot.kill.lock().unwrap() = stream.try_clone().ok();
     let (tx, rx) = mpsc::channel::<String>();
-    let writer = std::thread::spawn(move || shard_writer_loop(write_half, rx));
-    *slot.tx.lock().unwrap() = Some(tx);
+    *slot.tx.lock().unwrap() = Some(tx.clone());
     slot.up.store(true, Ordering::Relaxed);
-
-    shard_reader_loop(router, g, r, stream);
-
-    slot.up.store(false, Ordering::Relaxed);
-    *slot.tx.lock().unwrap() = None; // drops the sender → writer exits
-    let _ = writer.join();
+    net::serve_connection(
+        stream,
+        router.shutdown,
+        (tx, rx),
+        |line, _| {
+            if let Ok(resp) = wire::decode_response(line) {
+                gather(router, g, r, resp);
+            }
+            true
+        },
+        |_| {},
+        |_, _| {
+            // Dropping the slot's sender lets the writer exit; scatter
+            // sends from here on fail cleanly.
+            slot.up.store(false, Ordering::Relaxed);
+            *slot.tx.lock().unwrap() = None;
+            *slot.kill.lock().unwrap() = None;
+        },
+    );
 }
 
-/// Pump one replica's replies into the pending table until the connection
-/// drops or shutdown (with a bounded drain pass so in-flight replies land
-/// before a graceful exit).
-fn shard_reader_loop(router: &Router<'_>, g: usize, r: usize, mut stream: TcpStream) {
-    let mut pending_bytes: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        if router.shutdown.load(Ordering::Relaxed) {
-            match drain_deadline {
-                None => drain_deadline = Some(Instant::now() + 4 * POLL),
-                Some(d) if Instant::now() >= d => return,
-                Some(_) => {}
-            }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // replica hung up
-            Ok(n) => {
-                pending_bytes.extend_from_slice(&chunk[..n]);
-                while let Some(pos) = pending_bytes.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending_bytes.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line);
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if let Ok(resp) = wire::decode_response(&line) {
-                        gather(router, g, r, resp);
-                    }
-                }
-                if pending_bytes.len() > MAX_LINE {
-                    return; // desynchronized stream; drop the link
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if drain_deadline.is_some() {
-                    return; // quiet during drain: nothing left to land
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Replica-link writer: forward scatter buffers (each one or more
-/// newline-terminated lines — a whole client fan-out batch leaves as one
-/// write), with batched flushes.
-fn shard_writer_loop(stream: TcpStream, rx: mpsc::Receiver<String>) {
-    let mut out = std::io::BufWriter::new(stream);
-    'live: while let Ok(first) = rx.recv() {
-        let mut buf = first;
-        loop {
-            if out.write_all(buf.as_bytes()).is_err() {
-                break 'live;
-            }
-            match rx.try_recv() {
-                Ok(next) => buf = next,
-                Err(_) => break,
-            }
-        }
-        if out.flush().is_err() {
-            break;
-        }
-    }
-}
-
-/// Queue `line` (newline appended) on replica `(g, r)`'s link. `false`
-/// when the link is gone.
-fn send_to(router: &Router<'_>, g: usize, r: usize, line: &str) -> bool {
-    let mut buf = String::with_capacity(line.len() + 1);
-    buf.push_str(line);
-    buf.push('\n');
-    match &*router.groups[g].replicas[r].tx.lock().unwrap() {
-        Some(link) => link.send(buf).is_ok(),
-        None => false,
-    }
+/// Queue `buf` (one or more whole lines) on replica `(g, r)`'s link.
+/// `false` when the link is gone.
+fn send_to(router: &Router<'_>, g: usize, r: usize, buf: String) -> bool {
+    let link = router.groups[g].replicas[r].tx.lock().unwrap();
+    link.as_ref().is_some_and(|link| link.send(buf).is_ok())
 }
 
 /// Sever replica `(g, r)`'s live socket (fault injection): the reader
@@ -592,7 +505,8 @@ fn gather(router: &Router<'_>, g: usize, r: usize, resp: wire::Response) {
         return; // already failed/timed out/answered — late reply, drop it
     };
     if let Some(err) = resp.error {
-        if resp.code.as_deref() == Some(wire::CODE_SHUTTING_DOWN) {
+        let draining = resp.code.as_deref() == Some(wire::CODE_SHUTTING_DOWN);
+        if draining {
             // The replica is draining: for this request it is as good as
             // dead, but its twins are not — fail over under budget.
             if entry.parts[g].is_some() || entry.assigned[g] != r {
@@ -602,33 +516,20 @@ fn gather(router: &Router<'_>, g: usize, r: usize, resp: wire::Response) {
                 router.counters.failovers.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            let entry = pending.remove(&resp.id).unwrap();
-            drop(pending);
-            release_unanswered(router, &entry);
-            finish_one(router);
-            router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            router
-                .counters
-                .shard_failures
-                .fetch_add(1, Ordering::Relaxed);
-            let _ = entry.reply.send(
-                wire::Response::failure(entry.client_id, entry.user, err)
-                    .with_code(wire::CODE_PARTIAL_RESULT),
-            );
-            return;
         }
-        // A deterministic refusal (bad policy, user out of range, …):
-        // every replica would answer the same, so the whole request fails
-        // with the replica's own typed error. Later replies from other
-        // ranges find no entry.
+        // A draining replica with no twin or budget left is a partial
+        // result. Any other refusal (bad policy, user out of range, …) is
+        // deterministic: every replica would answer the same, so the whole
+        // request fails with the replica's own typed error. Later replies
+        // from other ranges find no entry.
         let entry = pending.remove(&resp.id).unwrap();
         drop(pending);
-        release_unanswered(router, &entry);
-        finish_one(router);
-        router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        let mut reply = wire::Response::failure(entry.client_id, entry.user, err);
-        reply.code = resp.code.or(reply.code);
-        let _ = entry.reply.send(reply);
+        let code = if draining {
+            wire::CODE_PARTIAL_RESULT
+        } else {
+            resp.code.as_deref().unwrap_or(wire::CODE_BAD_REQUEST)
+        };
+        fail_entry(router, &entry, err, code);
         return;
     }
     if entry.parts[g].is_none() {
@@ -678,7 +579,7 @@ fn try_failover_entry(router: &Router<'_>, g: usize, dead: usize, entry: &mut Pe
     router.counters.retries.fetch_add(1, Ordering::Relaxed);
     // A failed send means the twin died in the same instant; its own link
     // teardown (or the timeout sweep) moves the entry again or fails it.
-    let _ = send_to(router, g, twin, &entry.line);
+    let _ = send_to(router, g, twin, entry.line.clone());
     true
 }
 
@@ -707,25 +608,12 @@ fn fail_or_failover(router: &Router<'_>, g: usize, dead: usize) {
     };
     let replicas = router.groups[g].replicas.len();
     for entry in doomed {
-        release_unanswered(router, &entry);
-        finish_one(router);
-        router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        router
-            .counters
-            .shard_failures
-            .fetch_add(1, Ordering::Relaxed);
-        let _ = entry.reply.send(
-            wire::Response::failure(
-                entry.client_id,
-                entry.user,
-                format!(
-                    "range {g}: replica at {} dropped before answering and no live \
-                     replica (of {replicas}) or retry budget remains",
-                    router.groups[g].replicas[dead].addr
-                ),
-            )
-            .with_code(wire::CODE_PARTIAL_RESULT),
+        let error = format!(
+            "range {g}: replica at {} dropped before answering and no live \
+             replica (of {replicas}) or retry budget remains",
+            router.groups[g].replicas[dead].addr
         );
+        fail_entry(router, &entry, error, wire::CODE_PARTIAL_RESULT);
     }
 }
 
@@ -764,7 +652,7 @@ fn sweep_timeouts(router: &Router<'_>) {
                     reps[next].load.fetch_add(1, Ordering::Relaxed);
                     entry.assigned[g] = next;
                     router.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    let _ = send_to(router, g, next, &entry.line);
+                    let _ = send_to(router, g, next, entry.line.clone());
                 }
                 entry.deadline = now + router.cfg.request_timeout;
             } else {
@@ -774,19 +662,29 @@ fn sweep_timeouts(router: &Router<'_>) {
         doomed
     };
     for entry in expired {
-        release_unanswered(router, &entry);
-        finish_one(router);
-        router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        let waited = entry.remaining;
-        let _ = entry.reply.send(
-            wire::Response::failure(
-                entry.client_id,
-                entry.user,
-                format!("timed out waiting for {waited} range reply/replies (retries exhausted)"),
-            )
-            .with_code(wire::CODE_TIMEOUT),
+        let error = format!(
+            "timed out waiting for {} range reply/replies (retries exhausted)",
+            entry.remaining
         );
+        fail_entry(router, &entry, error, wire::CODE_TIMEOUT);
     }
+}
+
+/// Fail an entry already taken out of the pending table: release what it
+/// holds and send the client a typed error. A partial result is a shard
+/// failure.
+fn fail_entry(router: &Router<'_>, entry: &Pending, error: impl Into<String>, code: &str) {
+    release_unanswered(router, entry);
+    finish_one(router);
+    router.counters.rejected.fetch_add(1, Ordering::Relaxed);
+    if code == wire::CODE_PARTIAL_RESULT {
+        router
+            .counters
+            .shard_failures
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    let reply = wire::Response::failure(entry.client_id, entry.user, error).with_code(code);
+    let _ = entry.reply.send(reply);
 }
 
 /// Release the load charges a finished (answered/failed/reaped) entry
@@ -811,118 +709,47 @@ fn finish_one(router: &Router<'_>) {
 // Client connections
 // ---------------------------------------------------------------------------
 
-/// The per-connection scatter accumulator: lines bound for each replica
-/// link, buffered while a read chunk's worth of pipelined requests is
-/// processed and handed to each link in **one** channel send (one write +
-/// flush on the wire) — one buffered flush per fan-out, not one write
-/// syscall per request.
-#[derive(Default)]
-struct ScatterBatch {
-    buffers: HashMap<(usize, usize), String>,
-}
-
-impl ScatterBatch {
-    fn push(&mut self, g: usize, r: usize, line: &str) {
-        let buf = self.buffers.entry((g, r)).or_default();
-        buf.push_str(line);
-        buf.push('\n');
-    }
-}
+/// The per-connection scatter accumulator, keyed by replica `(g, r)`:
+/// lines bound for each replica link, buffered while a read chunk's worth
+/// of pipelined requests is processed and handed to each link in **one**
+/// channel send (one write + flush on the wire) — one buffered flush per
+/// fan-out, not one write syscall per request.
+type ScatterBatch = HashMap<(usize, usize), String>;
 
 /// Hand each link its accumulated batch. A send that fails means the
 /// replica died between pick and flush: its requests fail over
 /// immediately rather than waiting for the timeout sweep.
 fn flush_batch(router: &Router<'_>, batch: &mut ScatterBatch) {
-    for ((g, r), buf) in batch.buffers.drain() {
-        let sent = match &*router.groups[g].replicas[r].tx.lock().unwrap() {
-            Some(link) => link.send(buf).is_ok(),
-            None => false,
-        };
-        if !sent {
+    for ((g, r), buf) in batch.drain() {
+        if !send_to(router, g, r, buf) {
             fail_or_failover(router, g, r);
         }
     }
 }
 
-/// Client connection reader: split lines, answer each (scattering
-/// recommend requests), keep the writer alive until every in-flight reply
-/// has been delivered.
+/// One client connection: every line is answered through
+/// [`process_line`], and the recommend requests pipelined into one read
+/// fan out in one flush per link. An oversize line gets one typed error
+/// before the connection closes.
 fn handle_client(router: &Router<'_>, stream: TcpStream) {
-    stream.set_nodelay(true).ok();
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    if stream.set_read_timeout(Some(POLL)).is_err() {
-        return;
-    }
-    let write_half = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let (tx, rx) = mpsc::channel::<wire::Response>();
-    let writer = std::thread::spawn(move || client_writer_loop(write_half, rx));
-
-    let mut stream = stream;
-    let mut pending: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    let mut batch = ScatterBatch::default();
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        if router.shutdown.load(Ordering::Relaxed) {
-            match drain_deadline {
-                None => drain_deadline = Some(Instant::now() + 4 * POLL),
-                Some(d) if Instant::now() >= d => break,
-                Some(_) => {}
+    let batch = RefCell::new(ScatterBatch::default());
+    // The writer exits once every clone of the sender held by pending
+    // entries is gone — i.e. after each outstanding scatter has been
+    // answered, failed, or reaped by the timeout sweep. Never a silent
+    // hang.
+    net::serve_connection(
+        stream,
+        router.shutdown,
+        mpsc::channel(),
+        |line, tx| process_line(router, line, tx, &mut batch.borrow_mut()),
+        |_| flush_batch(router, &mut batch.borrow_mut()),
+        |end, tx| {
+            if end == ReadEnd::Oversize {
+                router.counters.rejected.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(wire::Response::line_too_long());
             }
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => {
-                pending.extend_from_slice(&chunk[..n]);
-                let mut close = false;
-                while let Some(pos) = pending.iter().position(|&b| b == b'\n') {
-                    let line: Vec<u8> = pending.drain(..=pos).collect();
-                    let line = String::from_utf8_lossy(&line);
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    if !process_line(router, &line, &tx, &mut batch) {
-                        close = true;
-                        break;
-                    }
-                }
-                // One flush per read chunk: every request the client
-                // pipelined into it fans out in a single write per link.
-                flush_batch(router, &mut batch);
-                if close {
-                    break;
-                }
-                if pending.len() > MAX_LINE {
-                    router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-                    let _ = tx.send(wire::Response::failure(0, 0, "request line too long"));
-                    break;
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock
-                        | std::io::ErrorKind::TimedOut
-                        | std::io::ErrorKind::Interrupted
-                ) =>
-            {
-                if drain_deadline.is_some() {
-                    break;
-                }
-            }
-            Err(_) => break,
-        }
-    }
-    drop(tx);
-    // The writer exits once every clone of `tx` held by pending entries
-    // is gone — i.e. after each outstanding scatter has been answered,
-    // failed, or reaped by the timeout sweep. Never a silent hang.
-    let _ = writer.join();
+        },
+    );
 }
 
 /// Answer one client line. Returns `false` when the connection should
@@ -933,64 +760,34 @@ fn process_line(
     tx: &mpsc::Sender<wire::Response>,
     batch: &mut ScatterBatch,
 ) -> bool {
-    let req = match wire::decode_request(line) {
-        Ok(req) => req,
-        Err(e) => {
+    let send = |resp: wire::Response| {
+        if resp.error.is_some() {
             router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(wire::Response::failure(0, 0, e));
+        }
+        let _ = tx.send(resp);
+    };
+    let req = match wire::admit(line, wire::ROLE_ROUTER) {
+        Ok(req) => req,
+        Err(refusal) => {
+            send(refusal);
             return true;
         }
     };
-    if req.v > wire::WIRE_VERSION {
-        router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-        let _ = tx.send(
-            wire::Response::failure(
-                req.id,
-                req.user.unwrap_or(0),
-                format!(
-                    "unsupported protocol version {} (router speaks <= {})",
-                    req.v,
-                    wire::WIRE_VERSION
-                ),
-            )
-            .with_code(wire::CODE_UNSUPPORTED_VERSION),
-        );
-        return true;
-    }
     match req.cmd.as_str() {
-        wire::CMD_PING => {
-            let _ = tx.send(wire::Response::ack(req.id));
-            true
-        }
+        wire::CMD_PING => send(wire::Response::ack(req.id)),
         wire::CMD_SHUTDOWN => {
             // Shuts down the *router*; the shard daemons are owned by
             // whoever launched them and keep serving.
-            let _ = tx.send(wire::Response::ack(req.id));
+            send(wire::Response::ack(req.id));
             router.shutdown.store(true, Ordering::Relaxed);
-            false
+            return false;
         }
-        wire::CMD_HEALTH => {
-            let _ = tx.send(wire::Response::health(req.id, router_health(router)));
-            true
-        }
-        wire::CMD_STATS => {
-            let _ = tx.send(wire::Response::stats(req.id, router_stats(router)));
-            true
-        }
-        "" | wire::CMD_RECOMMEND => {
-            scatter(router, &req, tx, batch);
-            true
-        }
-        other => {
-            router.counters.rejected.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(wire::Response::failure(
-                req.id,
-                req.user.unwrap_or(0),
-                format!("unknown cmd `{other}`"),
-            ));
-            true
-        }
+        wire::CMD_HEALTH => send(wire::Response::health(req.id, router_health(router))),
+        wire::CMD_STATS => send(wire::Response::stats(req.id, router_stats(router))),
+        "" | wire::CMD_RECOMMEND => scatter(router, &req, tx, batch),
+        _ => send(wire::Response::unknown_cmd(&req)),
     }
+    true
 }
 
 /// Admit, assign, and register one recommend request; the forwarded lines
@@ -1060,7 +857,7 @@ fn scatter(
         exclude_seen: req.exclude_seen,
         ..wire::Request::default()
     };
-    let line = wire::encode(&fwd);
+    let line = wire::encode(&fwd) + "\n";
     // Pick a replica per range and register before queueing any send: a
     // fast replica may answer the instant its batch flushes.
     let mut picks = Vec::with_capacity(router.groups.len());
@@ -1116,7 +913,7 @@ fn scatter(
         if g == 0 && fault == Some(FaultKind::DropReply) {
             continue;
         }
-        batch.push(g, r, &line);
+        batch.entry((g, r)).or_default().push_str(&line);
     }
     if matches!(
         fault,
@@ -1130,53 +927,17 @@ fn scatter(
     }
 }
 
-/// Client-connection writer: serialize replies in completion order,
-/// batched flushes, stop on a dead socket.
-fn client_writer_loop(stream: TcpStream, rx: mpsc::Receiver<wire::Response>) {
-    let mut out = std::io::BufWriter::new(stream);
-    'live: while let Ok(first) = rx.recv() {
-        let mut resp = first;
-        loop {
-            if writeln!(out, "{}", wire::encode(&resp)).is_err() {
-                break 'live;
-            }
-            match rx.try_recv() {
-                Ok(next) => resp = next,
-                Err(_) => break,
-            }
-        }
-        if out.flush().is_err() {
-            break;
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Health and stats aggregation
 // ---------------------------------------------------------------------------
 
-/// How long a health/stats probe waits for a replica before declaring it
-/// unreachable.
-const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
-
 /// One short-lived probe connection: send `cmd`, read one reply line.
 /// Probes bypass the pipelined links so an admin query never competes
-/// with (or is reordered against) recommend traffic.
+/// with (or is reordered against) recommend traffic, and every stage —
+/// connect included — gives up after [`PROBE_TIMEOUT`], so an address
+/// that swallows SYNs cannot stall a `health` reply or a link admission.
 fn probe_shard(addr: &str, cmd: &str) -> Option<wire::Response> {
-    let stream = TcpStream::connect(addr).ok()?;
-    stream.set_read_timeout(Some(PROBE_TIMEOUT)).ok()?;
-    stream.set_nodelay(true).ok();
-    let req = wire::Request {
-        v: wire::WIRE_VERSION,
-        cmd: cmd.to_string(),
-        ..wire::Request::default()
-    };
-    let mut write_half = stream.try_clone().ok()?;
-    writeln!(write_half, "{}", wire::encode(&req)).ok()?;
-    write_half.flush().ok()?;
-    let mut line = String::new();
-    std::io::BufReader::new(stream).read_line(&mut line).ok()?;
-    wire::decode_response(&line).ok()
+    net::round_trip(addr, &wire::Request::command(cmd), PROBE_TIMEOUT).ok()
 }
 
 /// Probe every replica's `health` and aggregate: nested per-replica

@@ -56,13 +56,12 @@
 //! JSON lines for the e2e drills to assert on.
 
 use std::io;
-use std::net::{TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use super::net::jittered_backoff;
+use super::net::{jittered_backoff, round_trip};
 use super::wire::{self, Diagnostic};
 use crate::error::BpmfError;
 
@@ -262,7 +261,9 @@ pub fn supervise(
                                 && now.duration_since(*last_probe) >= cfg.probe_interval;
                             if due {
                                 *last_probe = now;
-                                if probe(&replica.spec.addr, cfg.probe_timeout) {
+                                let ping = wire::Request::command(wire::CMD_PING);
+                                if round_trip(&replica.spec.addr, &ping, cfg.probe_timeout).is_ok()
+                                {
                                     *probe_misses = 0;
                                     replica.failures = 0; // healthy: refund the budget
                                 } else {
@@ -446,7 +447,14 @@ fn step_reload(
             return;
         }
     }
-    match push_reload(&replica.spec.addr, path, cfg.reload_timeout) {
+    let req = wire::Request {
+        path: path.display().to_string(),
+        ..wire::Request::command(wire::CMD_RELOAD)
+    };
+    let pushed = round_trip(&replica.spec.addr, &req, cfg.reload_timeout)
+        .map_err(|e| e.to_string())
+        .and_then(|resp| resp.error.map_or(Ok(resp.model_epoch), Err));
+    match pushed {
         Ok(epoch) => {
             replica.ckpt_stamp = stamp;
             replica.reload_pending = false;
@@ -475,42 +483,6 @@ fn step_reload(
                 ),
             ));
         }
-    }
-}
-
-/// One synchronous reload roundtrip: connect, send the command, read the
-/// ack. `Ok` carries the daemon's new model epoch when it reports one.
-fn push_reload(
-    addr: &str,
-    path: &std::path::Path,
-    timeout: Duration,
-) -> Result<Option<u64>, String> {
-    use std::io::{BufRead, BufReader, Write};
-    let sock_addr = addr
-        .to_socket_addrs()
-        .map_err(|e| e.to_string())?
-        .next()
-        .ok_or_else(|| "address resolves to nothing".to_string())?;
-    let mut stream = TcpStream::connect_timeout(&sock_addr, timeout).map_err(|e| e.to_string())?;
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let req = wire::Request {
-        v: wire::WIRE_VERSION,
-        cmd: wire::CMD_RELOAD.to_string(),
-        path: path.display().to_string(),
-        ..wire::Request::default()
-    };
-    stream
-        .write_all(format!("{}\n", wire::encode(&req)).as_bytes())
-        .map_err(|e| e.to_string())?;
-    let mut line = String::new();
-    BufReader::new(stream)
-        .read_line(&mut line)
-        .map_err(|e| e.to_string())?;
-    let resp = wire::decode_response(&line)?;
-    match resp.error {
-        Some(err) => Err(err),
-        None => Ok(resp.model_epoch),
     }
 }
 
@@ -598,30 +570,6 @@ fn step_spawn(
             step_failure(replica, idx, cfg, report, events, false);
         }
     }
-}
-
-/// One health probe: connect, send a wire ping, expect any reply line.
-fn probe(addr: &str, timeout: Duration) -> bool {
-    use std::io::{BufRead, BufReader, Write};
-    let Ok(mut addrs) = addr.to_socket_addrs() else {
-        return false;
-    };
-    let Some(sock_addr) = addrs.next() else {
-        return false;
-    };
-    let Ok(mut stream) = TcpStream::connect_timeout(&sock_addr, timeout) else {
-        return false;
-    };
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    if stream
-        .write_all(format!("{{\"v\":{},\"cmd\":\"ping\"}}\n", wire::WIRE_VERSION).as_bytes())
-        .is_err()
-    {
-        return false;
-    }
-    let mut line = String::new();
-    matches!(BufReader::new(stream).read_line(&mut line), Ok(n) if n > 0)
 }
 
 /// Process-global "a child changed state" flag, raised by the SIGCHLD

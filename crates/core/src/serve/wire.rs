@@ -178,6 +178,16 @@ impl Request {
             ..Request::default()
         }
     }
+
+    /// A versioned request carrying only `cmd` (ping, health, stats,
+    /// shutdown, …).
+    pub fn command(cmd: &str) -> Self {
+        Request {
+            v: WIRE_VERSION,
+            cmd: cmd.to_string(),
+            ..Request::default()
+        }
+    }
 }
 
 /// One ranked item inside a [`Response`].
@@ -306,6 +316,21 @@ impl Response {
             stats: Some(report),
             ..Response::default()
         }
+    }
+
+    /// The last reply on a connection whose line outgrew
+    /// [`crate::serve::net::MAX_LINE`].
+    pub fn line_too_long() -> Self {
+        Response::failure(0, 0, "request line too long")
+    }
+
+    /// The reply to a request whose `cmd` this server does not speak.
+    pub fn unknown_cmd(req: &Request) -> Self {
+        Response::failure(
+            req.id,
+            req.user.unwrap_or(0),
+            format!("unknown cmd `{}`", req.cmd),
+        )
     }
 }
 
@@ -470,6 +495,28 @@ pub fn decode_request(line: &str) -> Result<Request, String> {
     serde_json::from_str(line.trim()).map_err(|e| format!("malformed request: {e}"))
 }
 
+/// The admission prefix every server runs on a request line: decode it,
+/// and refuse a request from a future protocol version rather than
+/// half-understand it. Unversioned requests (`v` absent → 0) stay
+/// accepted. `Err` is the typed reply to send instead; `role`
+/// ([`ROLE_DAEMON`] or [`ROLE_ROUTER`]) names the refusing server.
+#[allow(clippy::result_large_err)] // the error is the reply, sent as-is
+pub fn admit(line: &str, role: &str) -> Result<Request, Response> {
+    let req = decode_request(line).map_err(|e| Response::failure(0, 0, e))?;
+    if req.v > WIRE_VERSION {
+        return Err(Response::failure(
+            req.id,
+            req.user.unwrap_or(0),
+            format!(
+                "unsupported protocol version {} ({role} speaks <= {WIRE_VERSION})",
+                req.v
+            ),
+        )
+        .with_code(CODE_UNSUPPORTED_VERSION));
+    }
+    Ok(req)
+}
+
 /// Parse one response line.
 pub fn decode_response(line: &str) -> Result<Response, String> {
     serde_json::from_str(line.trim()).map_err(|e| format!("malformed response: {e}"))
@@ -575,6 +622,40 @@ mod tests {
         let back = decode_response(&encode(&typed)).unwrap();
         assert_eq!(back.code.as_deref(), Some(CODE_PARTIAL_RESULT));
         assert_eq!(back.error.as_deref(), Some("shard 2/4 unavailable"));
+    }
+
+    #[test]
+    fn admission_refusals_keep_their_exact_text() {
+        let refusal = admit("not json", ROLE_DAEMON).unwrap_err();
+        let parse_error = decode_request("not json").unwrap_err();
+        assert_eq!(refusal, Response::failure(0, 0, parse_error));
+        for role in [ROLE_DAEMON, ROLE_ROUTER] {
+            let refusal = admit("{\"v\":2,\"id\":5,\"user\":3}", role).unwrap_err();
+            let text = format!("unsupported protocol version 2 ({role} speaks <= 1)");
+            assert_eq!(refusal.error.as_deref(), Some(text.as_str()));
+            assert_eq!(
+                (refusal.id, refusal.user, refusal.code.as_deref()),
+                (5, 3, Some(CODE_UNSUPPORTED_VERSION))
+            );
+        }
+        // Unversioned requests pass through untouched.
+        assert_eq!(
+            admit("{\"user\":3}", ROLE_ROUTER).unwrap(),
+            Request::recommend(0, 3)
+        );
+        assert_eq!(
+            Response::line_too_long().error.as_deref(),
+            Some("request line too long")
+        );
+        let unknown = Response::unknown_cmd(&Request {
+            id: 4,
+            cmd: "reboot".to_string(),
+            ..Request::default()
+        });
+        assert_eq!(
+            (unknown.id, unknown.error.as_deref()),
+            (4, Some("unknown cmd `reboot`"))
+        );
     }
 
     #[test]

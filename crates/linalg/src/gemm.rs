@@ -57,18 +57,22 @@
 //!
 //! # Re-measuring on new hardware
 //!
-//! The tile constants were validated on the `perf_snapshot` GEMM section:
+//! The tile constants are judged by the layered benchmark's traced
+//! `serve_sat` pass:
 //!
 //! ```text
-//! cargo run --release -p bpmf-bench --bin perf_snapshot
+//! cargo run --release --manifest-path benchmark/Cargo.toml -- \
+//!     --workload serve_sat --trace 1
 //! ```
 //!
-//! reports micro-batch throughput across block sizes 1/8/64/256 and the
-//! SIMD-vs-scalar kernel ratio (`BENCH_serve.json`). On the 1-core
-//! AVX-512 reference host this measures ~2.1–2.3× for the 64-user block
-//! over the looped per-user scan at 4096×4096, `k = 32`. If a new host
-//! shows less: check that the AVX-512 arm is live (`simd_enabled` in the
-//! snapshot), and shrink [`GEMM_NC`] if the `B` panel starts missing L2
+//! reports `service.batch_us_per_req` (one full micro-batch through
+//! `recommend_each`, per request) and `service.ceiling_rps` (the worker
+//! pool's scoring ceiling derived from it), beside
+//! `linalg.gemm_ns_per_score` for the kernel alone; rerun with
+//! `BPMF_NO_SIMD=1` for the scalar arm. On the 1-core AVX-512 reference
+//! host the 64-user block measured ~2.1–2.3× over the looped per-user
+//! scan at 4096×4096, `k = 32`. If a new host shows less: check that the
+//! AVX-512 arm is live, and shrink [`GEMM_NC`] if the `B` panel starts missing L2
 //! (it is also the parallel chunk granularity — raise it on machines
 //! with more workers than the catalogue has column blocks). Widening
 //! `GEMM_MR_512` past 8
@@ -287,8 +291,9 @@ fn gemm_dispatch(m: usize, n: usize, k: usize, a: &[f64], src: BSource<'_>, c: &
 }
 
 /// [`gemm_into`] pinned to the portable scalar arm, serial — the reference
-/// implementation the property tests and the `perf_snapshot` SIMD-ratio
-/// section compare against.
+/// implementation the property tests compare against (the end-to-end
+/// SIMD-vs-scalar ratio is `service.batch_us_per_req` on `serve_sat`, run
+/// with and without `BPMF_NO_SIMD=1`).
 pub fn gemm_into_scalar(m: usize, n: usize, k: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
     assert_eq!(a.len(), m * k, "gemm a shape mismatch");
     assert_eq!(b.len(), k * n, "gemm b shape mismatch");

@@ -319,6 +319,25 @@ fn malformed_and_invalid_requests_get_typed_errors_on_a_surviving_connection() {
 }
 
 #[test]
+fn an_oversize_line_gets_exactly_one_typed_reply_then_the_connection_closes() {
+    let report = with_daemon(DaemonConfig::default(), |addr| {
+        let (mut stream, mut reader) = connect(addr);
+        // One byte past the limit, no newline: the daemon must not wait
+        // for the rest of a line it will never accept.
+        let oversize = vec![b'x'; bpmf::serve::net::MAX_LINE + 1];
+        stream.write_all(&oversize).expect("send oversize line");
+        let resp = recv(&mut reader);
+        assert_eq!(resp.error.as_deref(), Some("request line too long"));
+        assert_eq!(resp.code.as_deref(), Some(wire::CODE_BAD_REQUEST));
+        let mut rest = String::new();
+        let n = reader.read_line(&mut rest).expect("read after reply");
+        assert_eq!(n, 0, "exactly one reply, then EOF; got {rest:?}");
+    });
+    assert_eq!(report.rejected, 1);
+    assert_eq!(report.requests, 0);
+}
+
+#[test]
 fn shutdown_command_drains_queued_requests_before_exit() {
     // A long window so the queued pipeline is still pending when the
     // shutdown lands; the drain rule — not the deadline — must flush it.
