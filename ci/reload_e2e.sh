@@ -290,7 +290,7 @@ echo "== rolling fleet reload: 2 ranges x 2 replicas, one at a time"
 for gr in 00 01 10 11; do
     cp "$WORK/v1.json" "$WORK/ckpt-$gr.json"
 done
-BASE=$((20000 + RANDOM % 20000))
+BASE=$((20000 + RANDOM % 12000))
 A00="127.0.0.1:$BASE"
 A01="127.0.0.1:$((BASE + 1))"
 A10="127.0.0.1:$((BASE + 2))"

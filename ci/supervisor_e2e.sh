@@ -191,8 +191,9 @@ wait "$REF_PID"
 
 # The fleet needs FIXED ports (the supervisor respawns on the original
 # address; the router's replica list is static), so pick a random base
-# well above the ephemeral floor collisions usually start at.
-BASE=$((20000 + RANDOM % 20000))
+# below Linux's ephemeral range (32768-60999): a client socket lingering
+# in TIME_WAIT on a port in that range would block the replica's bind.
+BASE=$((20000 + RANDOM % 12000))
 A00="127.0.0.1:$BASE"
 A01="127.0.0.1:$((BASE + 1))"
 A10="127.0.0.1:$((BASE + 2))"

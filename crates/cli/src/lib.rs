@@ -58,16 +58,17 @@ as each micro-batch completes):
 
 The `serve-daemon` subcommand trains (or resumes a checkpoint), then
 serves recommend requests forever over TCP: newline-delimited JSON
-requests are coalesced into GEMM micro-batches (flush at MICRO_BATCH
-pending or the batch window, whichever first). --top-n/--exclude-seen/--policy
+requests are coalesced into GEMM micro-batches (a free worker takes
+everything pending, up to MICRO_BATCH). --top-n/--exclude-seen/--policy
 set the daemon's per-request defaults (--user is not accepted: clients
 name users per request). Prints `serving on HOST:PORT` to stdout
 once ready; stops gracefully on ctrl-c/SIGTERM or a {\"cmd\":\"shutdown\"}
 request, draining everything already accepted:
   --addr HOST:PORT    listen address (port 0 = ephemeral)
                       [default 127.0.0.1:7878]
-  --batch-window MS   coalescing deadline in milliseconds; 0 disables
-                      coalescing (per-request serving) [default 2]
+  --batch-window MS   coalescing deadline in milliseconds: a partial batch
+                      waits up to this long for companions; 0 never waits
+                      [default 0]
   --workers N         batch-executing worker threads [default: cores, max 4]
   --queue-cap N       bounded request queue; full = backpressure
                       [default 1024]
@@ -242,7 +243,7 @@ impl Default for RecommendOptions {
 pub struct ServeOptions {
     /// Listen (daemon) or connect (client) address.
     pub addr: String,
-    /// Coalescing deadline in milliseconds (0 = per-request serving).
+    /// Coalescing deadline in milliseconds (0 = never wait).
     pub batch_window_ms: f64,
     /// Batch-executing worker threads.
     pub workers: usize,
@@ -282,7 +283,7 @@ impl Default for ServeOptions {
     fn default() -> Self {
         ServeOptions {
             addr: "127.0.0.1:7878".to_string(),
-            batch_window_ms: 2.0,
+            batch_window_ms: 0.0,
             workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(4)),
             queue_cap: 1024,
             shard: None,
@@ -1447,7 +1448,7 @@ mod tests {
         assert_eq!(opts.recommend.users, vec![3, 9]);
         assert!(opts.serve.shutdown);
         assert!(opts.train.is_empty());
-        // A zero batch window (per-request serving) is legal for daemons.
+        // A zero batch window (never wait) is legal for daemons.
         let zero = parse_args(&argv("serve-daemon --train a.mtx --batch-window 0"))
             .unwrap()
             .unwrap();

@@ -35,7 +35,7 @@
 //!            [--diagnostics]
 //!            [--user U]... [--top-n 10] [--exclude-seen]
 //!            [--policy mean|ucb[:beta]|thompson[:seed]]
-//!            [--addr 127.0.0.1:7878] [--batch-window 2] [--workers N]
+//!            [--addr 127.0.0.1:7878] [--batch-window 0] [--workers N]
 //!            [--queue-cap 1024] [--shard I/N] [--health] [--stats]
 //!            [--shutdown]
 //! bpmf-train serve-router --addr 127.0.0.1:7900

@@ -113,9 +113,9 @@
 //!
 //! // Genuinely concurrent traffic? Keep the model resident behind the
 //! // serving daemon: requests arriving over TCP (newline-delimited JSON)
-//! // are *coalesced* into those same GEMM micro-batches — flush at
-//! // `serve::MICRO_BATCH` pending or the batch window, whichever first —
-//! // and each reply is routed back to its connection. `bpmf-train
+//! // are *coalesced* into those same GEMM micro-batches — a free worker
+//! // takes everything pending, up to `serve::MICRO_BATCH` — and each
+//! // reply is routed back to its connection. `bpmf-train
 //! // serve-daemon` wraps
 //! // exactly this; see `serve::daemon` for the architecture.
 //! use bpmf::serve::daemon::{self, DaemonConfig, ServingModel};

@@ -69,14 +69,16 @@
 //!   connection's reader, which is the backpressure that keeps a traffic
 //!   spike from ballooning memory.
 //! * Workers drain the queue in **blocks**: a batch flushes when
-//!   [`MICRO_BATCH`] requests are pending *or* the oldest request has
-//!   waited `batch_window`, whichever comes first. The window is the
-//!   latency/efficiency knob: `0` serves every request alone (lowest
-//!   possible queueing delay, one catalogue pass per request); a few
-//!   milliseconds lets concurrent requests share one packed-GEMM
-//!   catalogue pass ([`RecommendService::recommend_each`] →
-//!   [`Recommender::score_block`]) at the cost of at most that much
-//!   added latency under light load.
+//!   [`MICRO_BATCH`] requests are pending (or the queue is full) *or* the
+//!   oldest request has waited `batch_window`, whichever comes first, and
+//!   takes everything pending. The default window is `0`: a free worker
+//!   never waits, so a request reaching an idle daemon is served at once,
+//!   and under load the requests that queue up while one block is scored
+//!   share the next packed-GEMM catalogue pass
+//!   ([`RecommendService::recommend_each`] →
+//!   [`Recommender::score_block`]). A window of a few milliseconds buys
+//!   bigger blocks from traffic spaced below saturation, at the cost of up
+//!   to that much added latency on every partial block.
 //! * Each worker owns a [`RecommendService`] over the *shared* model, so
 //!   the transposed/packed factor caches (`OnceLock`) are built once per
 //!   process and shared by every worker, and each user's reply is routed

@@ -5,15 +5,21 @@
 //! blocks shaped for the GEMM micro-batch path. A batch flushes when
 //! either
 //!
-//! * `max_batch` requests are pending (**size flush** — a full
-//!   [`crate::serve::MICRO_BATCH`] block is the most GEMM-efficient unit
-//!   there is, no reason to wait), or
+//! * `min(max_batch, queue_cap)` requests are pending (**size flush** — a
+//!   full [`crate::serve::MICRO_BATCH`] block is the most GEMM-efficient
+//!   unit there is, and a full queue can grow no bigger, so there is no
+//!   reason to wait), or
 //! * the *oldest* pending request has waited `batch_window` (**deadline
 //!   flush** — bounds the queueing latency a lone request can pay for the
 //!   chance of sharing a catalogue pass).
 //!
-//! `batch_window == 0` degenerates to per-request serving: every
-//! `next_batch` returns as soon as anything is pending. The queue is
+//! Either way the batch takes everything pending, up to `max_batch`.
+//! `batch_window == 0`, the default, never waits: `next_batch` returns as
+//! soon as anything is pending. A request reaching an idle worker is
+//! served at once, and under load the backlog that builds while one batch
+//! is scored fills the next, so batches still grow with traffic. A nonzero
+//! window adds up to that much latency to every partial batch in exchange
+//! for bigger batches from arrivals spaced below saturation. The queue is
 //! **bounded** (`queue_cap`): submitters block while it is full, which is
 //! the backpressure that keeps a traffic spike from ballooning memory —
 //! TCP readers stall, the kernel's socket buffers fill, and clients feel
@@ -37,7 +43,8 @@ pub struct CoalesceConfig {
     /// micro-batch ([`crate::serve::MICRO_BATCH`]) by default.
     pub max_batch: usize,
     /// Flush once the oldest pending request has waited this long.
-    /// `Duration::ZERO` disables coalescing (per-request serving).
+    /// `Duration::ZERO` (the default) never waits: a free worker takes
+    /// whatever is pending.
     pub batch_window: Duration,
     /// Queue capacity; submitters block while this many are pending.
     pub queue_cap: usize,
@@ -47,7 +54,7 @@ impl Default for CoalesceConfig {
     fn default() -> Self {
         CoalesceConfig {
             max_batch: crate::serve::MICRO_BATCH,
-            batch_window: Duration::from_millis(2),
+            batch_window: Duration::ZERO,
             queue_cap: 1024,
         }
     }
@@ -134,8 +141,9 @@ impl<T> Queue<T> {
                 continue;
             }
             // Shutdown flushes immediately: latency no longer buys
-            // anything once no new requests can join the batch.
-            if st.queue.len() >= self.cfg.max_batch
+            // anything once no new requests can join the batch. Neither
+            // does a full queue, even one capped below `max_batch`.
+            if st.queue.len() >= self.cfg.max_batch.min(self.cfg.queue_cap)
                 || self.cfg.batch_window.is_zero()
                 || st.draining
             {
@@ -206,6 +214,22 @@ mod tests {
     }
 
     #[test]
+    fn queue_capped_below_max_batch_flushes_when_full() {
+        // `max_batch` can never be reached through a cap of 4: a full
+        // queue is the size flush.
+        let q = queue(64, 60_000, 4);
+        for j in 0..4 {
+            q.submit(j).unwrap();
+        }
+        let t0 = Instant::now();
+        assert_eq!(q.next_batch().unwrap(), vec![0, 1, 2, 3]);
+        assert!(
+            t0.elapsed() < Duration::from_secs(1),
+            "a full queue must not sit out the 60s window"
+        );
+    }
+
+    #[test]
     fn deadline_flush_returns_a_partial_batch() {
         let window = Duration::from_millis(40);
         let q = queue(64, 40, 64);
@@ -228,9 +252,9 @@ mod tests {
         let q = queue(64, 0, 64);
         q.submit(1).unwrap();
         q.submit(2).unwrap();
-        // Flushes whatever is pending without any deadline wait.
-        let batch = q.next_batch().unwrap();
-        assert!(!batch.is_empty() && batch.len() <= 2);
+        // Flushes whatever is pending without any deadline wait; a backlog
+        // still shares one batch.
+        assert_eq!(q.next_batch().unwrap(), vec![1, 2]);
     }
 
     #[test]

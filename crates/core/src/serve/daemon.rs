@@ -74,8 +74,9 @@ pub struct ServingModel<'a> {
     pub reload: Option<ReloadContext>,
 }
 
-/// Daemon knobs. `Default` is a coalescing configuration: 64-request
-/// blocks, 2 ms window, one worker, no fault injection.
+/// Daemon knobs. `Default` coalesces without waiting: the one worker takes
+/// everything pending, up to a [`crate::serve::MICRO_BATCH`]-request
+/// block, as soon as it is free (window `0`); no fault injection.
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
     /// Batching rules for the request queue.

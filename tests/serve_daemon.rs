@@ -4,13 +4,14 @@
 //! `RecommendService::top_n` computes for the same user/policy (the
 //! coalescer must never change an answer); malformed lines get typed
 //! error replies on a surviving connection; shutdown drains everything
-//! accepted before the signal; and pipelined traffic actually coalesces
-//! into multi-request batches.
+//! accepted before the signal; pipelined traffic actually coalesces into
+//! multi-request batches; and the default daemon serves a lone request
+//! without waiting for a companion.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bpmf::serve::coalesce::CoalesceConfig;
 use bpmf::serve::daemon::{self, DaemonConfig, DaemonReport, ServingModel};
@@ -248,6 +249,36 @@ fn pipelined_requests_coalesce_into_batches() {
         report.largest_batch >= 8,
         "expected multi-request batches, largest was {}",
         report.largest_batch
+    );
+}
+
+#[test]
+fn default_daemon_serves_sequential_requests_without_waiting() {
+    // The default window is zero: a request reaching the idle worker is
+    // scored at once. Any window would be a floor under every one of
+    // these round trips; take the fastest, so a descheduled thread on a
+    // loaded host cannot fail the test.
+    let total = 10u32;
+    let report = with_daemon(DaemonConfig::default(), |addr| {
+        let (mut stream, mut reader) = connect(addr);
+        let mut fastest = Duration::MAX;
+        for user in 0..total {
+            let t0 = Instant::now();
+            send(&mut stream, &wire::Request::recommend(user as u64, user));
+            let resp = recv(&mut reader);
+            fastest = fastest.min(t0.elapsed());
+            assert_eq!(resp.error, None);
+            assert_eq!(resp.user, user);
+        }
+        assert!(
+            fastest < Duration::from_micros(1900),
+            "fastest sequential round trip took {fastest:?}"
+        );
+    });
+    assert_eq!(report.requests, total as u64);
+    assert_eq!(
+        report.batches, total as u64,
+        "each sequential request is its own batch"
     );
 }
 
