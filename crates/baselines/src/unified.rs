@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use bpmf::{
     Algorithm, Bpmf, BpmfError, DistributedTrainer, FitControl, FitReport, IterCallback, IterStats,
-    NoSnapshot, Recommender, SgldConfig, SgldSampler, TrainData, Trainer,
+    NoSnapshot, PosteriorModel, Recommender, SgldConfig, SgldSampler, TrainData, Trainer,
 };
 use bpmf_sched::ItemRunner;
 use bpmf_sparse::Csr;
@@ -397,11 +397,13 @@ impl Trainer for SgdRecommenderTrainer {
 /// stochastic-gradient Langevin sampling, at home on out-of-core
 /// [`bpmf::RatingStore`]s (it draws mini-batches instead of sweeping the
 /// matrix), traced epoch-equivalent by epoch-equivalent through the
-/// callback. Leaves an [`MfModel`] of posterior-mean factors behind, so
-/// serving, sharding, and replication work unchanged.
+/// callback. Leaves a [`PosteriorModel`] behind — posterior-mean factors
+/// with second moments, the same model the Gibbs and distributed trainers
+/// serve — so serving, sharding, replication and the uncertainty-aware
+/// ranking policies work unchanged.
 pub struct SgmcmcRecommenderTrainer {
     spec: Bpmf,
-    model: Option<Arc<MfModel>>,
+    model: Option<Arc<PosteriorModel>>,
 }
 
 impl SgmcmcRecommenderTrainer {
@@ -411,7 +413,7 @@ impl SgmcmcRecommenderTrainer {
     }
 
     /// The fitted model, once `fit` has run.
-    pub fn model(&self) -> Option<&MfModel> {
+    pub fn model(&self) -> Option<&PosteriorModel> {
         self.model.as_deref()
     }
 
@@ -476,10 +478,7 @@ impl Trainer for SgmcmcRecommenderTrainer {
                 break;
             }
         }
-        let (u, v) = sampler.posterior_factors();
-        let mut model = MfModel::new(u, v, data.global_mean);
-        model.clip = self.spec.rating_bounds;
-        self.model = Some(Arc::new(model));
+        self.model = Some(Arc::new(sampler.posterior_model()));
         Ok(FitReport {
             algorithm: Algorithm::Sgmcmc.to_string(),
             engine: "sgld-serial".to_string(),

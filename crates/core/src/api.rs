@@ -58,8 +58,9 @@ use crate::checkpoint::SamplerCheckpoint;
 use crate::config::BpmfConfig;
 use crate::engine::EngineKind;
 use crate::error::BpmfError;
+use crate::posterior::{PosteriorAccumulator, PredictionSummary};
 use crate::report::{FitReport, IterStats};
-use crate::sampler::{GibbsSampler, PredictionSummary, TrainData};
+use crate::sampler::{GibbsSampler, TrainData};
 use crate::sideinfo::FeatureSideInfo;
 
 // ---------------------------------------------------------------------------
@@ -605,13 +606,13 @@ impl fmt::Display for FoldInError {
 impl std::error::Error for FoldInError {}
 
 // ---------------------------------------------------------------------------
-// The posterior-mean model produced by the Gibbs trainer
+// The posterior-mean model produced by the sampling trainers
 // ---------------------------------------------------------------------------
 
-/// The owned model a [`GibbsTrainer`] leaves behind: posterior-mean factors
-/// plus element-wise second moments for uncertainty on *arbitrary* pairs
-/// (the per-test-point Monte-Carlo summaries remain available on the
-/// sampler itself).
+/// The owned model a [`GibbsTrainer`] leaves behind (as do the distributed
+/// and SGLD trainers): posterior-mean factors plus element-wise second
+/// moments for uncertainty on *arbitrary* pairs (the per-test-point
+/// Monte-Carlo summaries remain available on the sampler itself).
 #[derive(Clone)]
 pub struct PosteriorModel {
     user_means: Mat,
@@ -656,32 +657,15 @@ impl PosteriorModel {
     /// The sampler's user-side hyper state rides along, so the model can
     /// fold in cold-start users ([`Recommender::fold_in_user`]).
     pub fn from_sampler(s: &GibbsSampler<'_>) -> Self {
-        let (user_means, movie_means, samples) = match s.posterior_mean_factors() {
-            Some((u, v)) => (u, v, s.accumulated_samples()),
-            None => (s.user_factors().clone(), s.movie_factors().clone(), 0),
-        };
-        let (user_second, movie_second) = match s.posterior_second_moments() {
-            Some((u2, v2)) if samples >= 2 => (Some(u2), Some(v2)),
-            _ => (None, None),
-        };
+        let draw = || (s.user_factors().clone(), s.movie_factors().clone());
         let (mu, lambda) = s.user_hyper();
-        PosteriorModel {
-            user_means,
-            movie_means,
-            user_second,
-            movie_second,
-            global_mean: s.global_mean(),
-            rating_bounds: s.cfg().rating_bounds,
-            samples,
-            movie_means_t: std::sync::OnceLock::new(),
-            movie_means_packed: std::sync::OnceLock::new(),
-            movie_means_range_packed: std::sync::OnceLock::new(),
-            fold_in: Some(UserPrior {
-                mu: mu.to_vec(),
-                lambda: lambda.clone(),
-                alpha: s.cfg().alpha,
-            }),
-        }
+        Self::from_posterior(
+            s.posterior().clone(),
+            draw,
+            s.global_mean(),
+            s.cfg().rating_bounds,
+        )
+        .with_user_prior(mu.to_vec(), lambda.clone(), s.cfg().alpha)
     }
 
     /// Assemble a posterior model from already-averaged factors — the path
@@ -775,37 +759,38 @@ impl PosteriorModel {
                 ckpt.users_lambda.cols
             )));
         }
-        // Mirror `GibbsSampler::posterior_mean_factors`: accumulators
-        // scaled by 1/acc_count, falling back to the current sample.
-        let (user_means, movie_means, samples) = match (&ckpt.factor_acc, ckpt.acc_count) {
-            (Some((u, v)), n) if n > 0 => {
-                let inv = 1.0 / n as f64;
-                let mut mu = u.to_mat();
-                mu.scale(inv);
-                let mut mv = v.to_mat();
-                mv.scale(inv);
-                (mu, mv, n)
-            }
-            _ => (ckpt.users.to_mat(), ckpt.movies.to_mat(), 0),
-        };
-        if user_means.rows() != ckpt.users.rows || movie_means.rows() != ckpt.movies.rows {
+        // The sampler's own accumulator does the averaging, so the arithmetic
+        // cannot drift from `from_sampler`.
+        let posterior =
+            PosteriorAccumulator::new(0, 0, global_mean, rating_bounds).resumed_from(ckpt);
+        let draw = || (ckpt.users.to_mat(), ckpt.movies.to_mat());
+        let model = Self::from_posterior(posterior, draw, global_mean, rating_bounds);
+        if model.user_means.rows() != ckpt.users.rows
+            || model.movie_means.rows() != ckpt.movies.rows
+        {
             return Err(BpmfError::CheckpointMismatch(
                 "factor accumulator shape disagrees with the factor sample".to_string(),
             ));
         }
-        // Mirror `GibbsSampler::posterior_second_moments`.
-        let second_moments = match (&ckpt.factor_sq_acc, ckpt.acc_count) {
-            (Some((u2, v2)), n) if n > 0 => {
-                let inv = 1.0 / n as f64;
-                let mut mu2 = u2.to_mat();
-                mu2.scale(inv);
-                let mut mv2 = v2.to_mat();
-                mv2.scale(inv);
-                Some((mu2, mv2))
-            }
-            _ => None,
+        Ok(model.with_user_prior(ckpt.users_mu.clone(), ckpt.users_lambda.to_mat(), alpha))
+    }
+
+    /// The model a chain's posterior sums describe: posterior-mean factors
+    /// and second moments, or `draw()` (the current sample) with a sample
+    /// count of 0 when no post-burn-in draw was accumulated.
+    pub(crate) fn from_posterior(
+        posterior: PosteriorAccumulator,
+        draw: impl FnOnce() -> (Mat, Mat),
+        global_mean: f64,
+        rating_bounds: Option<(f64, f64)>,
+    ) -> Self {
+        let count = posterior.count();
+        let (means, second_moments) = posterior.into_moments();
+        let ((user_means, movie_means), samples) = match means {
+            Some(means) => (means, count),
+            None => (draw(), 0),
         };
-        Ok(PosteriorModel::from_factors(
+        PosteriorModel::from_factors(
             user_means,
             movie_means,
             second_moments,
@@ -813,7 +798,6 @@ impl PosteriorModel {
             rating_bounds,
             samples,
         )
-        .with_user_prior(ckpt.users_mu.clone(), ckpt.users_lambda.to_mat(), alpha))
     }
 
     /// Posterior-mean user factors (`M × K`).

@@ -27,8 +27,6 @@
 
 use std::time::Instant;
 
-use std::sync::Mutex;
-
 use bpmf_linalg::Mat;
 use bpmf_mpisim::{wire, Comm, Tag, Universe, WindowHandle};
 use bpmf_sched::{ItemRunner, WorkStealingPool};
@@ -43,9 +41,10 @@ use crate::checkpoint::FlatMat;
 use crate::config::BpmfConfig;
 use crate::error::BpmfError;
 use crate::model::SideState;
+use crate::posterior::PosteriorAccumulator;
 use crate::report::{FitReport, IterStats};
 use crate::sampler::TrainData;
-use crate::update::{choose_method, update_item, SidePrior, UpdateScratch};
+use crate::update::{ItemDraw, PriorParts, Workers};
 use bpmf_linalg::MatWriter;
 
 const TAG_USER_ITEMS: Tag = 1;
@@ -222,41 +221,28 @@ pub fn run_rank(
     let mut users = SideState::init(r.nrows(), k, &mut init_rng);
     let mut movies = SideState::init(r.ncols(), k, &mut init_rng);
     let mut hyper_rng = Xoshiro256pp::seed_from_u64(cfg.base.seed ^ 0x9E37_79B9);
-    let mut update_rng = {
+    let update_rng = {
         let mut streams = Xoshiro256pp::rank_streams(cfg.base.seed ^ 0x5851_F42D, size);
         streams.swap_remove(rank)
     };
-    let mut scratch = UpdateScratch::new(k);
-
-    // Hybrid mode (§IV-A): a per-rank work-stealing pool computes item
-    // batches while the rank's main thread keeps communication funneled.
-    // Worker streams are `jump`-separated sub-streams of the rank stream,
-    // so ranks stay disjoint from each other and workers within a rank
-    // disjoint from one another.
-    let hybrid = (cfg.threads_per_rank > 1).then(|| {
-        let mut base = update_rng.clone();
-        let rngs: Vec<Mutex<Xoshiro256pp>> = (0..cfg.threads_per_rank)
-            .map(|_| {
-                base.jump();
-                Mutex::new(base.clone())
-            })
-            .collect();
-        let scratches: Vec<Mutex<UpdateScratch>> = (0..cfg.threads_per_rank)
-            .map(|_| Mutex::new(UpdateScratch::new(k)))
-            .collect();
-        HybridCtx {
-            pool: WorkStealingPool::new(cfg.threads_per_rank),
-            rngs,
-            scratches,
-        }
-    });
+    let workers = RankWorkers::new(update_rng, cfg.threads_per_rank, k);
 
     // Test points this rank evaluates: those whose user row it owns.
-    let my_points: Vec<usize> = (0..test.len())
-        .filter(|&t| user_parts.part_of(test[t].0 as usize) == rank)
+    let my_test: Vec<(u32, u32, f64)> = test
+        .iter()
+        .filter(|p| user_parts.part_of(p.0 as usize) == rank)
+        .copied()
         .collect();
-    let mut predict_acc = vec![0.0f64; my_points.len()];
-    let mut acc_count = 0usize;
+    // Posterior sums over the rank's *owned* rows (the partition covers
+    // every row exactly once, so the end-of-run gather assembles complete
+    // posterior means for serving).
+    let mut posterior = PosteriorAccumulator::new(
+        cfg.base.burnin,
+        my_test.len(),
+        global_mean,
+        cfg.base.rating_bounds,
+    )
+    .owning(user_parts.range(rank), movie_parts.range(rank));
 
     // One-sided mode: one notified window per side, sized for the full
     // factor matrix — an owner writes a finished row directly into every
@@ -271,14 +257,6 @@ pub fn run_rank(
     let mut rmse_sample_trace = Vec::with_capacity(iterations);
     let mut rmse_mean_trace = Vec::with_capacity(iterations);
 
-    // Posterior-factor accumulation over the rank's *owned* rows (the
-    // partition covers every row exactly once, so the end-of-run gather
-    // assembles complete posterior means for serving).
-    let mut user_acc = Mat::zeros(r.nrows(), k);
-    let mut movie_acc = Mat::zeros(r.ncols(), k);
-    let mut user_sq_acc = Mat::zeros(r.nrows(), k);
-    let mut movie_sq_acc = Mat::zeros(r.ncols(), k);
-
     comm.barrier();
     comm.reset_accounting();
     let t0 = Instant::now();
@@ -286,69 +264,40 @@ pub fn run_rank(
     for iter in 0..iterations {
         // -------- movie phase (Algorithm 1 order) -------------------------
         sample_hyper_replicated(comm, &mut movies, movie_parts.range(rank), &mut hyper_rng);
+        let prior = movies.prior_parts();
         sweep_side(
             comm,
-            &mut movies.items_prior_split(),
-            &users.items,
-            &rt,
+            &mut movies.items,
+            &workers.draw(cfg, &prior, global_mean, &rt, &users.items),
+            &workers,
             &movie_plan,
             &movie_parts,
             cfg,
-            global_mean,
-            &mut update_rng,
-            &mut scratch,
-            hybrid.as_ref(),
             TAG_MOVIE_ITEMS,
             windows.map(|(_, m)| m),
         );
 
         // -------- user phase ----------------------------------------------
         sample_hyper_replicated(comm, &mut users, user_parts.range(rank), &mut hyper_rng);
+        let prior = users.prior_parts();
         sweep_side(
             comm,
-            &mut users.items_prior_split(),
-            &movies.items,
-            &r,
+            &mut users.items,
+            &workers.draw(cfg, &prior, global_mean, &r, &movies.items),
+            &workers,
             &user_plan,
             &user_parts,
             cfg,
-            global_mean,
-            &mut update_rng,
-            &mut scratch,
-            hybrid.as_ref(),
             TAG_USER_ITEMS,
             windows.map(|(u, _)| u),
         );
 
         // -------- evaluation ----------------------------------------------
-        let averaging = iter >= cfg.base.burnin;
-        if averaging {
-            acc_count += 1;
-            accumulate_owned(
-                &mut user_acc,
-                &mut user_sq_acc,
-                &users.items,
-                user_parts.range(rank),
-            );
-            accumulate_owned(
-                &mut movie_acc,
-                &mut movie_sq_acc,
-                &movies.items,
-                movie_parts.range(rank),
-            );
-        }
-        let (rmse_sample, rmse_mean) = evaluate(
-            comm,
-            &users.items,
-            &movies.items,
-            &test,
-            &my_points,
-            &mut predict_acc,
-            acc_count,
-            averaging,
-            global_mean,
-            cfg.base.rating_bounds,
-        );
+        // Rank-local squared errors, then a deterministic all-reduce: every
+        // rank reports the identical RMSE pair.
+        let mut se = posterior.record(iter, &users.items, &movies.items, &my_test);
+        comm.allreduce_sum_f64(&mut se);
+        let (rmse_sample, rmse_mean) = posterior.rmse(se, test.len());
         rmse_sample_trace.push(rmse_sample);
         rmse_mean_trace.push(rmse_mean);
     }
@@ -363,37 +312,20 @@ pub fn run_rank(
     // Each rank contributes its owned rows, un-permuted to the caller's
     // original ids; one deterministic all-reduce replicates the full
     // posterior means (and second moments) on every rank for serving.
-    let (user_factors, movie_factors, user_second, movie_second) = if acc_count > 0 {
-        let pr = perms.as_ref().map(|(pr, _)| pr);
-        let pc = perms.as_ref().map(|(_, pc)| pc);
-        let uf = gather_owned_rows(comm, &user_acc, &user_parts, rank, acc_count, pr);
-        let vf = gather_owned_rows(comm, &movie_acc, &movie_parts, rank, acc_count, pc);
-        let (u2, v2) = if acc_count >= 2 {
-            (
-                Some(gather_owned_rows(
-                    comm,
-                    &user_sq_acc,
-                    &user_parts,
-                    rank,
-                    acc_count,
-                    pr,
-                )),
-                Some(gather_owned_rows(
-                    comm,
-                    &movie_sq_acc,
-                    &movie_parts,
-                    rank,
-                    acc_count,
-                    pc,
-                )),
-            )
-        } else {
-            (None, None)
-        };
-        (Some(uf), Some(vf), u2, v2)
-    } else {
-        (None, None, None, None)
+    let pr = perms.as_ref().map(|(pr, _)| pr);
+    let pc = perms.as_ref().map(|(_, pc)| pc);
+    let inv = 1.0 / posterior.count() as f64;
+    let mut gather = |(u, v): &(Mat, Mat)| {
+        (
+            Some(gather_owned_rows(comm, u, &user_parts, rank, inv, pr)),
+            Some(gather_owned_rows(comm, v, &movie_parts, rank, inv, pc)),
+        )
     };
+    let (user_factors, movie_factors) = posterior.sums().map_or((None, None), &mut gather);
+    let (user_second, movie_second) = posterior
+        .squares()
+        .filter(|_| posterior.count() >= 2)
+        .map_or((None, None), &mut gather);
 
     let times = comm.time_stats();
     let (compute_frac, both_frac, comm_frac) = times.fractions();
@@ -415,43 +347,25 @@ pub fn run_rank(
         movie_factors,
         user_second,
         movie_second,
-        factor_samples: acc_count,
+        factor_samples: posterior.count(),
     }
 }
 
-/// Fold one post-burn-in draw of the rank's owned rows into the running
-/// factor sums (and elementwise squared sums for second moments).
-fn accumulate_owned(acc: &mut Mat, sq_acc: &mut Mat, items: &Mat, own: std::ops::Range<usize>) {
-    for i in own {
-        let row = items.row(i);
-        for ((a, s), &v) in acc
-            .row_mut(i)
-            .iter_mut()
-            .zip(sq_acc.row_mut(i).iter_mut())
-            .zip(row)
-        {
-            *a += v;
-            *s += v * v;
-        }
-    }
-}
-
-/// Average the rank's owned accumulator rows, write them into a zeroed
-/// full-size matrix at their *original* (pre-RCM) indices, and all-reduce:
-/// every rank ends up with the complete replicated factor matrix.
+/// Average the rank's owned rows of a posterior sum (`× inv`), write them
+/// into a zeroed full-size matrix at their *original* (pre-RCM) indices,
+/// and all-reduce: every rank ends up with the complete replicated matrix.
 fn gather_owned_rows(
     comm: &mut Comm<'_>,
-    acc: &Mat,
+    sums: &Mat,
     parts: &BlockPartition,
     rank: usize,
-    samples: usize,
+    inv: f64,
     perm: Option<&Permutation>,
 ) -> FlatMat {
-    let mut full = Mat::zeros(acc.rows(), acc.cols());
-    let inv = 1.0 / samples as f64;
+    let mut full = Mat::zeros(sums.rows(), sums.cols());
     for i in parts.range(rank) {
         let dst = perm.map_or(i, |p| p.old_of(i));
-        for (o, &v) in full.row_mut(dst).iter_mut().zip(acc.row(i)) {
+        for (o, &v) in full.row_mut(dst).iter_mut().zip(sums.row(i)) {
             *o = v * inv;
         }
     }
@@ -488,32 +402,54 @@ fn sample_hyper_replicated(
     side.apply_hyper_from_stats(&global, hyper_rng);
 }
 
-/// Borrowed split of a side: its factor matrix plus the prior pieces the
-/// kernels need, precomputed once per sweep.
-pub(crate) struct SideSplit<'a> {
-    items: &'a mut Mat,
-    lambda: Mat,
-    lambda_mu: Vec<f64>,
-    chol_lambda: bpmf_linalg::Cholesky,
+/// The rank's item-drawing workers: one worker on the rank's own stream,
+/// or — hybrid mode (§IV-A) — a per-rank work-stealing pool that computes
+/// item batches while the rank's main thread keeps communication funneled.
+/// Pool streams are `jump`-separated sub-streams of the rank stream, so
+/// ranks stay disjoint from each other and workers within a rank disjoint
+/// from one another.
+struct RankWorkers {
+    pool: Option<WorkStealingPool>,
+    streams: Workers,
 }
 
-impl SideState {
-    pub(crate) fn items_prior_split(&mut self) -> SideSplit<'_> {
-        let (lambda_mu, chol_lambda) = self.prior_derivatives();
-        SideSplit {
-            lambda: self.lambda.clone(),
-            items: &mut self.items,
-            lambda_mu,
-            chol_lambda,
+impl RankWorkers {
+    fn new(rank_rng: Xoshiro256pp, threads: usize, k: usize) -> Self {
+        if threads <= 1 {
+            return RankWorkers {
+                pool: None,
+                streams: Workers::new(vec![rank_rng], k),
+            };
+        }
+        let mut base = rank_rng;
+        let streams = (0..threads)
+            .map(|_| {
+                base.jump();
+                base.clone()
+            })
+            .collect();
+        RankWorkers {
+            pool: Some(WorkStealingPool::new(threads)),
+            streams: Workers::new(streams, k),
         }
     }
-}
 
-/// Per-rank hybrid execution context (pool + per-worker RNG/scratch).
-struct HybridCtx {
-    pool: WorkStealingPool,
-    rngs: Vec<Mutex<Xoshiro256pp>>,
-    scratches: Vec<Mutex<UpdateScratch>>,
+    /// The sweep's item draw. Pool workers each run a whole item, so their
+    /// kernels stay single-threaded.
+    fn draw<'a>(
+        &self,
+        cfg: &DistConfig,
+        prior: &'a PriorParts,
+        global_mean: f64,
+        matrix: &'a Csr,
+        other: &'a Mat,
+    ) -> ItemDraw<'a> {
+        let mut draw = ItemDraw::new(&cfg.base, prior, global_mean, matrix, other);
+        if self.pool.is_some() {
+            draw.kernel_threads = 1;
+        }
+        draw
+    }
 }
 
 /// One side's sweep: update own items, ship them in buffered messages,
@@ -521,31 +457,19 @@ struct HybridCtx {
 #[allow(clippy::too_many_arguments)]
 fn sweep_side(
     comm: &mut Comm<'_>,
-    side: &mut SideSplit<'_>,
-    other: &Mat,
-    matrix: &Csr,
+    items: &mut Mat,
+    draw: &ItemDraw<'_>,
+    workers: &RankWorkers,
     plan: &CommPlan,
     parts: &BlockPartition,
     cfg: &DistConfig,
-    global_mean: f64,
-    rng: &mut Xoshiro256pp,
-    scratch: &mut UpdateScratch,
-    hybrid: Option<&HybridCtx>,
     tag: Tag,
     window: Option<WindowHandle>,
 ) {
     let rank = comm.rank();
     let size = comm.size();
-    let k = side.items.cols();
+    let k = items.cols();
     let stride = k + 1; // item index + K factors per shipped row
-
-    let prior = SidePrior {
-        lambda: &side.lambda,
-        lambda_mu: &side.lambda_mu,
-        chol_lambda: &side.chol_lambda,
-        alpha: cfg.base.alpha,
-        mean_offset: global_mean,
-    };
 
     let mut exch = match window {
         None => Exchange::TwoSided {
@@ -564,81 +488,46 @@ fn sweep_side(
     outstanding[rank] = 0;
 
     let range = parts.range(rank);
-    match hybrid {
+    match &workers.pool {
         None => {
             // Sequential rank: update, buffer-send, poll — item by item.
             for (count, item) in range.enumerate() {
-                let ratings = matrix.row(item);
-                let method = choose_method(
-                    ratings.0.len(),
-                    cfg.base.rank_one_threshold(),
-                    cfg.base.parallel_threshold,
-                );
-                let items = &mut *side.items;
-                comm.compute(|| {
-                    let out = items.row_mut(item);
-                    update_item(
-                        method,
-                        &prior,
-                        ratings,
-                        other,
-                        None,
-                        rng,
-                        scratch,
-                        out,
-                        cfg.base.kernel_threads,
-                    );
-                });
-
-                exch.ship(comm, side.items, plan, item);
+                let row = items.row_mut(item);
+                comm.compute(|| workers.streams.draw(draw, 0, item, row));
+                exch.ship(comm, items, plan, item);
                 if count % cfg.poll_every.max(1) == 0 {
-                    exch.poll(comm, side.items, &mut outstanding);
+                    exch.poll(comm, items, &mut outstanding);
                 }
             }
         }
-        Some(ctx) => {
+        Some(pool) => {
             // Hybrid rank (§IV-A): the pool computes item batches, the main
             // thread funnels sends + receives between batches.
             let batch = (cfg.threads_per_rank * 8).max(cfg.poll_every.max(1));
             let mut start = range.start;
             while start < range.end {
                 let end = (start + batch).min(range.end);
-                let writer = MatWriter::new(side.items);
-                let rank1_max = cfg.base.rank_one_threshold();
-                let par_threshold = cfg.base.parallel_threshold;
+                let writer = MatWriter::new(items);
                 comm.compute(|| {
-                    ctx.pool.run_items(end - start, None, None, &|worker, idx| {
+                    pool.run_items(end - start, None, None, &|worker, idx| {
                         let item = start + idx;
-                        let ratings = matrix.row(item);
-                        let method = choose_method(ratings.0.len(), rank1_max, par_threshold);
-                        let mut w_rng = ctx.rngs[worker].lock().expect("rng poisoned");
-                        let mut w_scratch = ctx.scratches[worker].lock().expect("scratch poisoned");
                         // SAFETY: the pool's exactly-once contract makes
                         // batch-local indices (hence rows) disjoint.
-                        let out = unsafe { writer.row_mut(item) };
-                        update_item(
-                            method,
-                            &prior,
-                            ratings,
-                            other,
-                            None,
-                            &mut w_rng,
-                            &mut w_scratch,
-                            out,
-                            1,
-                        );
+                        workers
+                            .streams
+                            .draw(draw, worker, item, unsafe { writer.row_mut(item) });
                     });
                 });
                 for item in start..end {
-                    exch.ship(comm, side.items, plan, item);
+                    exch.ship(comm, items, plan, item);
                 }
-                exch.poll(comm, side.items, &mut outstanding);
+                exch.poll(comm, items, &mut outstanding);
                 start = end;
             }
         }
     }
 
-    exch.finish(comm, side.items, &mut outstanding);
+    exch.finish(comm, items, &mut outstanding);
 }
 
 /// The two item-exchange mechanisms behind one small interface.
@@ -958,47 +847,6 @@ impl Trainer for DistributedTrainer {
     }
 }
 
-/// Rank-local squared error over owned test points, then a deterministic
-/// all-reduce — every rank reports the identical RMSE.
-#[allow(clippy::too_many_arguments)]
-fn evaluate(
-    comm: &mut Comm<'_>,
-    users: &Mat,
-    movies: &Mat,
-    test: &[(u32, u32, f64)],
-    my_points: &[usize],
-    predict_acc: &mut [f64],
-    acc_count: usize,
-    averaging: bool,
-    global_mean: f64,
-    rating_bounds: Option<(f64, f64)>,
-) -> (f64, f64) {
-    let mut se = [0.0f64, 0.0];
-    for (slot, &t) in predict_acc.iter_mut().zip(my_points) {
-        let (i, j, r) = test[t];
-        let mut pred =
-            global_mean + bpmf_linalg::vecops::dot(users.row(i as usize), movies.row(j as usize));
-        if let Some((lo, hi)) = rating_bounds {
-            pred = pred.clamp(lo, hi);
-        }
-        se[0] += (pred - r) * (pred - r);
-        if averaging {
-            *slot += pred;
-            let avg = *slot / acc_count as f64;
-            se[1] += (avg - r) * (avg - r);
-        }
-    }
-    comm.allreduce_sum_f64(&mut se);
-    let n = test.len().max(1) as f64;
-    let rmse_sample = (se[0] / n).sqrt();
-    let rmse_mean = if averaging {
-        (se[1] / n).sqrt()
-    } else {
-        f64::NAN
-    };
-    (rmse_sample, rmse_mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1267,6 +1115,20 @@ mod tests {
             served_rmse.is_finite() && (served_rmse - reported).abs() < 0.25 * reported.max(0.1),
             "served {served_rmse} vs reported {reported}"
         );
+    }
+
+    #[test]
+    fn empty_test_set_reports_nan_rmse_and_still_gathers_factors() {
+        let (r, rt, mean, _) = planted(55, 40, 30);
+        let cfg = dist_cfg(13);
+        let out = Universe::run(2, None, |comm| run_rank(comm, &r, &rt, mean, &[], &cfg));
+        for o in &out {
+            assert!(o.rmse_sample_trace.iter().all(|v| v.is_nan()));
+            assert!(o.rmse_mean_trace.iter().all(|v| v.is_nan()));
+            assert!(o.final_rmse().is_nan());
+            assert_eq!(o.factor_samples, cfg.base.samples);
+            assert!(o.user_factors.is_some() && o.movie_second.is_some());
+        }
     }
 
     #[test]

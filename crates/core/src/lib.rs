@@ -19,7 +19,10 @@
 //!   of panics;
 //! * [`GibbsSampler`] — the sampler itself: Normal–Wishart hyperparameter
 //!   resampling, per-item conditional updates, RMSE tracking with posterior
-//!   averaging;
+//!   averaging. The Gibbs, distributed and SGLD chains share one posterior
+//!   accumulator (burn-in gate, factor means and second moments, test
+//!   predictions, the per-iteration RMSE pair), and the two sweeping chains
+//!   share one per-item draw;
 //! * the three item-update kernels of the paper's Fig. 2
 //!   ([`UpdateMethod::RankOne`], [`UpdateMethod::CholSerial`],
 //!   [`UpdateMethod::CholParallel`]) plus the adaptive selection rule;
@@ -306,7 +309,8 @@
 //! distributed sampler is behind the same facade:
 //! `.algorithm(Algorithm::Distributed)` trains over a message-passing
 //! universe with `threads` ranks ([`DistributedTrainer`]) and leaves the
-//! same [`PosteriorModel`] behind for serving. To observe training live
+//! same [`PosteriorModel`] behind for serving, as does SGLD
+//! (`.algorithm(Algorithm::Sgmcmc)`). To observe training live
 //! (or stop it early), pass an [`IterCallback`] closure instead of
 //! [`NoCallback`] — or the stock [`Patience`] / [`WallClockBudget`]
 //! early-stop policies.
@@ -385,6 +389,7 @@ pub mod distributed;
 mod engine;
 mod error;
 mod model;
+mod posterior;
 mod report;
 mod sampler;
 pub mod serve;
@@ -403,8 +408,9 @@ pub use config::BpmfConfig;
 pub use distributed::DistributedTrainer;
 pub use engine::EngineKind;
 pub use error::BpmfError;
+pub use posterior::PredictionSummary;
 pub use report::{FitReport, IterStats, TrainReport};
-pub use sampler::{GibbsSampler, PredictionSummary, TrainData};
+pub use sampler::{GibbsSampler, TrainData};
 pub use sgld::{SgldConfig, SgldSampler};
 pub use sideinfo::FeatureSideInfo;
 pub use store::{store_row_weights, MappedSlab, RatingStore, SlabCsr};

@@ -1,7 +1,9 @@
 //! Per-side state: factor matrix and its Normal–Wishart hyperparameters.
 
-use bpmf_linalg::{Cholesky, Mat};
+use bpmf_linalg::Mat;
 use bpmf_stats::{normal, NormalWishart, SuffStats, Xoshiro256pp};
+
+use crate::update::PriorParts;
 
 /// One side of the factorization (users or movies): the current factor
 /// sample and the current hyperparameter sample.
@@ -52,11 +54,9 @@ impl SideState {
         self.lambda = lambda;
     }
 
-    /// Per-sweep derived prior quantities: `Λμ` and `chol(Λ)`.
-    pub fn prior_derivatives(&self) -> (Vec<f64>, Cholesky) {
-        let lambda_mu = self.lambda.matvec(&self.mu);
-        let chol = Cholesky::factor(&self.lambda).expect("sampled prior precision must be SPD");
-        (lambda_mu, chol)
+    /// Per-sweep prior quantities: `Λ`, `Λμ` and `chol(Λ)`.
+    pub fn prior_parts(&self) -> PriorParts {
+        PriorParts::new(&self.mu, &self.lambda)
     }
 }
 
@@ -97,7 +97,8 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut side = SideState::init(100, 4, &mut rng);
         side.sample_hyper(&mut rng);
-        let (lambda_mu, chol) = side.prior_derivatives();
+        let parts = side.prior_parts();
+        let (lambda_mu, chol) = parts.derivatives();
         let recomputed = side.lambda.matvec(&side.mu);
         for (a, b) in lambda_mu.iter().zip(&recomputed) {
             assert!((a - b).abs() < 1e-12);

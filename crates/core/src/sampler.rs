@@ -1,7 +1,6 @@
 //! The Gibbs sampler (Algorithm 1 of the paper) over a pluggable runtime.
 
 use std::fmt;
-use std::sync::Mutex;
 
 use bpmf_linalg::{vecops, Mat};
 use bpmf_sched::{Adjacency, ItemRunner, RunStats};
@@ -10,10 +9,11 @@ use bpmf_stats::Xoshiro256pp;
 
 use crate::config::BpmfConfig;
 use crate::model::SideState;
+use crate::posterior::{PosteriorAccumulator, PredictionSummary};
 use crate::report::{IterStats, TrainReport};
 use crate::sideinfo::FeatureSideInfo;
 use crate::store::{store_row_weights, RatingStore};
-use crate::update::{choose_method, update_item, SidePrior, UpdateScratch};
+use crate::update::{ItemDraw, PriorParts, Workers};
 use bpmf_linalg::MatWriter;
 use bpmf_stats::SuffStats;
 
@@ -107,18 +107,23 @@ enum Side {
 /// One side's hyperparameter step: plain Normal–Wishart from the factors,
 /// or — with side information attached — from the residuals around the
 /// feature-predicted prior means, followed by a fresh link-matrix draw.
+/// Returns the new prior's per-sweep parts.
 fn resample_hyper(
     state: &mut SideState,
     side_info: &mut Option<FeatureSideInfo>,
     rng: &mut Xoshiro256pp,
-) {
+) -> PriorParts {
     match side_info {
-        None => state.sample_hyper(rng),
+        None => {
+            state.sample_hyper(rng);
+            state.prior_parts()
+        }
         Some(si) => {
             let stats = SuffStats::from_residual_rows(&state.items, si.offsets());
             state.apply_hyper_from_stats(&stats, rng);
-            let (_, chol_lambda) = state.prior_derivatives();
-            si.resample_beta(&state.items, &state.mu, &chol_lambda, rng);
+            let parts = state.prior_parts();
+            si.resample_beta(&state.items, &state.mu, parts.derivatives().1, rng);
+            parts
         }
     }
 }
@@ -141,34 +146,11 @@ pub struct GibbsSampler<'a> {
     pending_user_link: Option<(Mat, f64)>,
     pending_movie_link: Option<(Mat, f64)>,
     hyper_rng: Xoshiro256pp,
-    worker_rngs: Vec<Mutex<Xoshiro256pp>>,
-    scratches: Vec<Mutex<UpdateScratch>>,
+    workers: Workers,
     user_weights: Vec<f64>,
     movie_weights: Vec<f64>,
-    predict_acc: Vec<f64>,
-    predict_sq_acc: Vec<f64>,
-    factor_acc: Option<(Mat, Mat)>,
-    /// Element-wise squared-factor sums, feeding posterior second moments
-    /// for uncertainty on arbitrary (not just test) pairs.
-    factor_sq_acc: Option<(Mat, Mat)>,
-    /// False when resumed from a checkpoint written before squared-factor
-    /// accumulation existed: the early draws' squares are unrecoverable, so
-    /// second moments stay disabled for the continued chain rather than
-    /// report a silently understated spread.
-    sq_acc_valid: bool,
-    acc_count: usize,
+    posterior: PosteriorAccumulator,
     iter: usize,
-}
-
-/// Monte-Carlo summary of one test point's posterior predictive.
-#[derive(Clone, Copy, Debug)]
-pub struct PredictionSummary {
-    /// Posterior-mean prediction.
-    pub mean: f64,
-    /// Posterior predictive standard deviation across Gibbs samples — the
-    /// confidence measure the paper's intro credits BPMF with providing
-    /// "for free".
-    pub std: f64,
 }
 
 impl<'a> GibbsSampler<'a> {
@@ -192,16 +174,10 @@ impl<'a> GibbsSampler<'a> {
         let wm = WorkModel::default();
         Ok(GibbsSampler {
             hyper_rng: Xoshiro256pp::seed_from_u64(cfg.seed ^ 0x9E37_79B9),
-            worker_rngs: Vec::new(),
-            scratches: Vec::new(),
+            workers: Workers::new(Vec::new(), k),
             user_weights: store_row_weights(&wm, data.r),
             movie_weights: store_row_weights(&wm, data.rt),
-            predict_acc: vec![0.0; data.test.len()],
-            predict_sq_acc: vec![0.0; data.test.len()],
-            factor_acc: None,
-            factor_sq_acc: None,
-            sq_acc_valid: true,
-            acc_count: 0,
+            posterior: Self::accumulator(&cfg, &data),
             iter: 0,
             cfg,
             data,
@@ -212,6 +188,15 @@ impl<'a> GibbsSampler<'a> {
             pending_user_link: None,
             pending_movie_link: None,
         })
+    }
+
+    fn accumulator(cfg: &BpmfConfig, data: &TrainData<'_>) -> PosteriorAccumulator {
+        PosteriorAccumulator::new(
+            cfg.burnin,
+            data.test.len(),
+            data.global_mean,
+            cfg.rating_bounds,
+        )
     }
 
     /// Attach Macau-style side information to the *user* side: `features`
@@ -302,8 +287,8 @@ impl<'a> GibbsSampler<'a> {
     /// predictor for ranking), clamped to the configured rating bounds.
     /// `None` before any post-burn-in sample.
     pub fn predict_posterior_mean(&self, user: usize, movie: usize) -> Option<f64> {
-        let (u, v) = self.factor_acc.as_ref()?;
-        let n = self.acc_count as f64;
+        let (u, v) = self.posterior.sums()?;
+        let n = self.posterior.count() as f64;
         Some(
             self.cfg.clamp_rating(
                 self.data.global_mean + vecops::dot(u.row(user), v.row(movie)) / (n * n),
@@ -312,18 +297,11 @@ impl<'a> GibbsSampler<'a> {
     }
 
     /// Posterior element-wise second moments `(E[U²], E[V²])` across the
-    /// post-burn-in samples. `None` before any post-burn-in sample.
+    /// post-burn-in samples. `None` before any post-burn-in sample, and
+    /// after resuming from a checkpoint written before squared-factor
+    /// accumulation existed (the early draws' squares are unrecoverable).
     pub fn posterior_second_moments(&self) -> Option<(Mat, Mat)> {
-        if !self.sq_acc_valid {
-            return None;
-        }
-        let (u, v) = self.factor_sq_acc.as_ref()?;
-        let inv = 1.0 / self.acc_count as f64;
-        let mut mu = u.clone();
-        mu.scale(inv);
-        let mut mv = v.clone();
-        mv.scale(inv);
-        Some((mu, mv))
+        self.posterior.second_moments()
     }
 
     /// Training-set global mean the sampler centers residuals on.
@@ -333,42 +311,24 @@ impl<'a> GibbsSampler<'a> {
 
     /// Post-burn-in samples accumulated into the posterior means.
     pub fn accumulated_samples(&self) -> usize {
-        self.acc_count
+        self.posterior.count()
+    }
+
+    pub(crate) fn posterior(&self) -> &PosteriorAccumulator {
+        &self.posterior
     }
 
     /// Running posterior means of the factor matrices (averaged over
     /// post-burn-in samples). `None` before any post-burn-in sample.
     pub fn posterior_mean_factors(&self) -> Option<(Mat, Mat)> {
-        let (u, v) = self.factor_acc.as_ref()?;
-        let inv = 1.0 / self.acc_count as f64;
-        let mut mu = u.clone();
-        mu.scale(inv);
-        let mut mv = v.clone();
-        mv.scale(inv);
-        Some((mu, mv))
+        self.posterior.means()
     }
 
     /// Monte-Carlo posterior predictive summaries for every test point:
     /// mean and standard deviation over the post-burn-in Gibbs samples.
     /// Empty before two accumulated samples.
     pub fn test_prediction_summaries(&self) -> Vec<PredictionSummary> {
-        if self.acc_count < 2 {
-            return Vec::new();
-        }
-        let n = self.acc_count as f64;
-        self.predict_acc
-            .iter()
-            .zip(&self.predict_sq_acc)
-            .map(|(&s, &sq)| {
-                let mean = s / n;
-                // Unbiased sample variance over the Gibbs draws.
-                let var = ((sq - s * s / n) / (n - 1.0)).max(0.0);
-                PredictionSummary {
-                    mean,
-                    std: var.sqrt(),
-                }
-            })
-            .collect()
+        self.posterior.summaries()
     }
 
     /// Completed Gibbs iterations.
@@ -379,10 +339,13 @@ impl<'a> GibbsSampler<'a> {
     /// Capture the complete sampler state for checkpointing.
     pub fn checkpoint(&self) -> crate::checkpoint::SamplerCheckpoint {
         use crate::checkpoint::{FlatMat, RngState, SamplerCheckpoint};
+        let flat =
+            |p: Option<&(Mat, Mat)>| p.map(|(u, v)| (FlatMat::from_mat(u), FlatMat::from_mat(v)));
+        let (predict_acc, predict_sq_acc) = self.posterior.prediction_sums();
         SamplerCheckpoint {
             num_latent: self.cfg.num_latent,
             iter: self.iter,
-            acc_count: self.acc_count,
+            acc_count: self.posterior.count(),
             users: FlatMat::from_mat(&self.users.items),
             movies: FlatMat::from_mat(&self.movies.items),
             users_mu: self.users.mu.clone(),
@@ -390,21 +353,11 @@ impl<'a> GibbsSampler<'a> {
             movies_mu: self.movies.mu.clone(),
             movies_lambda: FlatMat::from_mat(&self.movies.lambda),
             hyper_rng: RngState::capture(&self.hyper_rng),
-            worker_rngs: self
-                .worker_rngs
-                .iter()
-                .map(|m| RngState::capture(&m.lock().expect("rng poisoned")))
-                .collect(),
-            predict_acc: self.predict_acc.clone(),
-            predict_sq_acc: self.predict_sq_acc.clone(),
-            factor_acc: self
-                .factor_acc
-                .as_ref()
-                .map(|(u, v)| (FlatMat::from_mat(u), FlatMat::from_mat(v))),
-            factor_sq_acc: self
-                .factor_sq_acc
-                .as_ref()
-                .map(|(u, v)| (FlatMat::from_mat(u), FlatMat::from_mat(v))),
+            worker_rngs: self.workers.rng_states(),
+            predict_acc: predict_acc.to_vec(),
+            predict_sq_acc: predict_sq_acc.to_vec(),
+            factor_acc: flat(self.posterior.sums()),
+            factor_sq_acc: flat(self.posterior.squares()),
             user_link: self
                 .user_side
                 .as_ref()
@@ -469,36 +422,14 @@ impl<'a> GibbsSampler<'a> {
         }
         let k = cfg.num_latent;
         let wm = WorkModel::default();
-        let mut sampler = GibbsSampler {
+        Ok(GibbsSampler {
             hyper_rng: ckpt.hyper_rng.rebuild(),
-            worker_rngs: ckpt
-                .worker_rngs
-                .iter()
-                .map(|s| Mutex::new(s.rebuild()))
-                .collect(),
-            scratches: ckpt
-                .worker_rngs
-                .iter()
-                .map(|_| Mutex::new(UpdateScratch::new(k)))
-                .collect(),
+            // Restored streams are kept as long as the runner has no more
+            // workers than the checkpointed run (see `ensure_workers`).
+            workers: Workers::new(ckpt.worker_rngs.iter().map(|s| s.rebuild()).collect(), k),
             user_weights: store_row_weights(&wm, data.r),
             movie_weights: store_row_weights(&wm, data.rt),
-            predict_acc: ckpt.predict_acc.clone(),
-            predict_sq_acc: ckpt.predict_sq_acc.clone(),
-            factor_acc: ckpt
-                .factor_acc
-                .as_ref()
-                .map(|(u, v)| (u.to_mat(), v.to_mat())),
-            // A checkpoint from before squared-factor accumulation existed
-            // has posterior-mean state but no squares; restarting the
-            // square accumulator mid-chain would divide partial sums by the
-            // full acc_count, so second moments stay off instead.
-            sq_acc_valid: ckpt.acc_count == 0 || ckpt.factor_sq_acc.is_some(),
-            factor_sq_acc: ckpt
-                .factor_sq_acc
-                .as_ref()
-                .map(|(u, v)| (u.to_mat(), v.to_mat())),
-            acc_count: ckpt.acc_count,
+            posterior: Self::accumulator(&cfg, &data).resumed_from(ckpt),
             iter: ckpt.iter,
             cfg,
             data,
@@ -518,10 +449,7 @@ impl<'a> GibbsSampler<'a> {
                 lambda: ckpt.movies_lambda.to_mat(),
                 hyperprior: bpmf_stats::NormalWishart::default_for_dim(k),
             },
-        };
-        // Restored streams must not be clobbered by ensure_workers.
-        sampler.scratches.shrink_to_fit();
-        Ok(sampler)
+        })
     }
 
     /// Grow per-worker RNG streams and scratch buffers to `n` workers.
@@ -530,16 +458,11 @@ impl<'a> GibbsSampler<'a> {
     /// workers are 2¹²⁸ draws apart. Growing re-derives all streams; use one
     /// runner per sampler for reproducible traces.
     fn ensure_workers(&mut self, n: usize) {
-        if self.worker_rngs.len() >= n {
-            return;
-        }
-        self.worker_rngs = Xoshiro256pp::streams(self.cfg.seed ^ 0x5851_F42D, n)
-            .into_iter()
-            .map(Mutex::new)
-            .collect();
-        while self.scratches.len() < n {
-            self.scratches
-                .push(Mutex::new(UpdateScratch::new(self.cfg.num_latent)));
+        if self.workers.len() < n {
+            self.workers = Workers::new(
+                Xoshiro256pp::streams(self.cfg.seed ^ 0x5851_F42D, n),
+                self.cfg.num_latent,
+            );
         }
     }
 
@@ -551,12 +474,18 @@ impl<'a> GibbsSampler<'a> {
         // side information the Normal–Wishart update sees the residuals
         // around the feature-predicted means, then the link matrix is
         // redrawn (Macau's sweep order).
-        resample_hyper(&mut self.movies, &mut self.movie_side, &mut self.hyper_rng);
-        let movie_stats = self.sweep(Side::Movies, runner);
-        resample_hyper(&mut self.users, &mut self.user_side, &mut self.hyper_rng);
-        let user_stats = self.sweep(Side::Users, runner);
+        let prior = resample_hyper(&mut self.movies, &mut self.movie_side, &mut self.hyper_rng);
+        let movie_stats = self.sweep(Side::Movies, &prior, runner);
+        let prior = resample_hyper(&mut self.users, &mut self.user_side, &mut self.hyper_rng);
+        let user_stats = self.sweep(Side::Users, &prior, runner);
 
-        let (rmse_sample, rmse_mean) = self.evaluate();
+        let se = self.posterior.record(
+            self.iter,
+            &self.users.items,
+            &self.movies.items,
+            self.data.test,
+        );
+        let (rmse_sample, rmse_mean) = self.posterior.rmse(se, self.data.test.len());
         let stats = self.make_iter_stats(rmse_sample, rmse_mean, &movie_stats, &user_stats);
         self.iter += 1;
         stats
@@ -572,7 +501,7 @@ impl<'a> GibbsSampler<'a> {
         }
     }
 
-    fn sweep(&mut self, side: Side, runner: &dyn ItemRunner) -> RunStats {
+    fn sweep(&mut self, side: Side, prior: &PriorParts, runner: &dyn ItemRunner) -> RunStats {
         // Full destructuring gives the borrow checker disjoint fields: the
         // updated side is exclusive, the counterpart shared.
         let GibbsSampler {
@@ -582,8 +511,7 @@ impl<'a> GibbsSampler<'a> {
             movies,
             user_side,
             movie_side,
-            worker_rngs,
-            scratches,
+            workers,
             user_weights,
             movie_weights,
             ..
@@ -592,18 +520,8 @@ impl<'a> GibbsSampler<'a> {
             Side::Movies => (movies, &*users, data.rt, &*movie_weights, &*movie_side),
             Side::Users => (users, &*movies, data.r, &*user_weights, &*user_side),
         };
-        let prior_offsets = side_info.as_ref().map(|si| si.offsets());
-
-        let (lambda_mu, chol_lambda) = state.prior_derivatives();
-        let lambda = state.lambda.clone();
-        let prior = SidePrior {
-            lambda: &lambda,
-            lambda_mu: &lambda_mu,
-            chol_lambda: &chol_lambda,
-            alpha: cfg.alpha,
-            mean_offset: data.global_mean,
-        };
-        let other_items = &other.items;
+        let mut draw = ItemDraw::new(cfg, prior, data.global_mean, matrix, &other.items);
+        draw.offsets = side_info.as_ref().map(|si| si.offsets());
         let writer = MatWriter::new(&mut state.items);
         // Out-of-core stores: tell the kernel the whole orientation is
         // about to be swept so read-ahead starts before workers block on
@@ -613,107 +531,14 @@ impl<'a> GibbsSampler<'a> {
         let adj = Adjacency {
             offsets,
             indices,
-            neighbor_domain: other_items.rows(),
+            neighbor_domain: other.items.rows(),
         };
-        let rank1_max = cfg.rank_one_threshold();
-        let par_threshold = cfg.parallel_threshold;
-        let kernel_threads = cfg.kernel_threads;
-
         let update = |worker: usize, item: usize| {
-            let ratings = matrix.row(item);
-            let method = choose_method(ratings.0.len(), rank1_max, par_threshold);
-            let mut rng = worker_rngs[worker].lock().expect("rng mutex poisoned");
-            let mut scratch = scratches[worker].lock().expect("scratch mutex poisoned");
             // SAFETY: the runner's exactly-once contract means no other
             // worker receives this item index, so the row is unaliased.
-            let out = unsafe { writer.row_mut(item) };
-            update_item(
-                method,
-                &prior,
-                ratings,
-                other_items,
-                prior_offsets.map(|g| g.row(item)),
-                &mut rng,
-                &mut scratch,
-                out,
-                kernel_threads,
-            );
+            workers.draw(&draw, worker, item, unsafe { writer.row_mut(item) });
         };
         runner.run_items(matrix.nrows(), Some(weights), Some(adj), &update)
-    }
-
-    /// RMSE of the current sample and of the running posterior mean.
-    fn evaluate(&mut self) -> (f64, f64) {
-        if self.data.test.is_empty() {
-            return (f64::NAN, f64::NAN);
-        }
-        let averaging = self.iter >= self.cfg.burnin;
-        if averaging {
-            self.acc_count += 1;
-            // Accumulate factor sums for the posterior-mean point predictor.
-            let k = self.cfg.num_latent;
-            let (u_acc, v_acc) = self.factor_acc.get_or_insert_with(|| {
-                (
-                    Mat::zeros(self.users.items.rows(), k),
-                    Mat::zeros(self.movies.items.rows(), k),
-                )
-            });
-            u_acc.add_assign_scaled(&self.users.items, 1.0);
-            v_acc.add_assign_scaled(&self.movies.items, 1.0);
-            if self.sq_acc_valid {
-                let (u_sq, v_sq) = self.factor_sq_acc.get_or_insert_with(|| {
-                    (
-                        Mat::zeros(self.users.items.rows(), k),
-                        Mat::zeros(self.movies.items.rows(), k),
-                    )
-                });
-                for (acc, x) in u_sq
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.users.items.as_slice())
-                {
-                    *acc += x * x;
-                }
-                for (acc, x) in v_sq
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(self.movies.items.as_slice())
-                {
-                    *acc += x * x;
-                }
-            }
-        }
-        let mut se_sample = 0.0;
-        let mut se_mean = 0.0;
-        for ((slot, sq_slot), &(i, j, r)) in self
-            .predict_acc
-            .iter_mut()
-            .zip(self.predict_sq_acc.iter_mut())
-            .zip(self.data.test)
-        {
-            let pred = self.cfg.clamp_rating(
-                self.data.global_mean
-                    + vecops::dot(
-                        self.users.items.row(i as usize),
-                        self.movies.items.row(j as usize),
-                    ),
-            );
-            se_sample += (pred - r) * (pred - r);
-            if averaging {
-                *slot += pred;
-                *sq_slot += pred * pred;
-                let avg = *slot / self.acc_count as f64;
-                se_mean += (avg - r) * (avg - r);
-            }
-        }
-        let n = self.data.test.len() as f64;
-        let rmse_sample = (se_sample / n).sqrt();
-        let rmse_mean = if averaging {
-            (se_mean / n).sqrt()
-        } else {
-            f64::NAN
-        };
-        (rmse_sample, rmse_mean)
     }
 
     fn make_iter_stats(
@@ -1049,6 +874,32 @@ mod tests {
         let stats = sampler.step(runner.as_ref());
         assert!(stats.rmse_sample.is_nan());
         assert_eq!(sampler.iterations_done(), 1);
+    }
+
+    #[test]
+    fn empty_test_set_still_averages_the_posterior() {
+        // Held-out points only feed the RMSE trace; the served model must
+        // average the post-burn-in draws whether or not any are held out.
+        let (r, rt, mean, _) = planted(7);
+        let data = TrainData::new(&r, &rt, mean, &[]);
+        let cfg = BpmfConfig {
+            num_latent: 3,
+            burnin: 2,
+            samples: 3,
+            seed: 5,
+            kernel_threads: 1,
+            ..Default::default()
+        };
+        let runner = EngineKind::Static.build(1);
+        let mut sampler = GibbsSampler::new(cfg, data);
+        let report = sampler.run(runner.as_ref(), 5);
+        assert!(report.iters.iter().all(|s| s.rmse_mean.is_nan()));
+        assert_eq!(sampler.accumulated_samples(), 3);
+        let model = crate::PosteriorModel::from_sampler(&sampler);
+        assert_eq!(model.samples(), 3);
+        let (mu, _) = sampler.posterior_mean_factors().unwrap();
+        assert_eq!(model.user_means().as_slice(), mu.as_slice());
+        assert!(sampler.posterior_second_moments().is_some());
     }
 
     #[test]

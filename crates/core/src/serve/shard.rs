@@ -34,7 +34,7 @@ use bpmf_linalg::GEMM_NC;
 use bpmf_sparse::{Coo, Csr};
 
 use crate::api::Recommender;
-use crate::sampler::PredictionSummary;
+use crate::posterior::PredictionSummary;
 use crate::serve::wire::RankedItem;
 
 /// Which slice of the catalogue a serving process owns, and which

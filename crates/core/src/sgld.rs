@@ -26,9 +26,10 @@
 //! i.e. a preconditioned small-noise SGLD variant: the injected noise is
 //! scaled by the dataset's total information (α·nnz), keeping the chain's
 //! stationary spread near the Bayesian posterior's while the decaying step
-//! size anneals the discretization bias. After burn-in, factor draws are
-//! averaged into posterior-mean factors — the same point predictor the
-//! Gibbs chain serves.
+//! size anneals the discretization bias. After burn-in, draws feed the same
+//! posterior accumulator the Gibbs chain uses: posterior-mean factors
+//! and second moments for serving, and a posterior-mean RMSE that averages
+//! each test point's per-draw predictions.
 //!
 //! One *iteration* is an epoch-equivalent — ⌈nnz / minibatch⌉ mini-batch
 //! steps — so `burnin`/`samples` counts, callbacks, and reports line up
@@ -41,7 +42,8 @@
 use bpmf_linalg::{vecops, Mat};
 use bpmf_stats::Xoshiro256pp;
 
-use crate::{BpmfError, TrainData};
+use crate::posterior::PosteriorAccumulator;
+use crate::{BpmfError, PosteriorModel, TrainData};
 
 /// SGLD hyperparameters, with defaults tuned on the synthetic benchmark
 /// datasets (`bpmf-dataset`).
@@ -130,9 +132,7 @@ pub struct SgldSampler<'a> {
     users: Mat,
     movies: Mat,
     rng: Xoshiro256pp,
-    user_acc: Mat,
-    movie_acc: Mat,
-    acc_count: usize,
+    posterior: PosteriorAccumulator,
     /// Mini-batch steps taken (drives the step-size schedule).
     step: usize,
     iter: usize,
@@ -160,14 +160,17 @@ impl<'a> SgldSampler<'a> {
         let users = init(data.r.nrows());
         let movies = init(data.r.ncols());
         Ok(SgldSampler {
-            user_acc: Mat::zeros(data.r.nrows(), k),
-            movie_acc: Mat::zeros(data.r.ncols(), k),
+            posterior: PosteriorAccumulator::new(
+                cfg.burnin,
+                data.test.len(),
+                data.global_mean,
+                cfg.rating_bounds,
+            ),
             cfg,
             data,
             users,
             movies,
             rng,
-            acc_count: 0,
             step: 0,
             iter: 0,
             touched_users: Vec::new(),
@@ -251,68 +254,36 @@ impl<'a> SgldSampler<'a> {
         for _ in 0..steps {
             self.minibatch_step();
         }
+        let se = self
+            .posterior
+            .record(self.iter, &self.users, &self.movies, self.data.test);
         self.iter += 1;
-        if self.iter > self.cfg.burnin {
-            self.user_acc.add_assign_scaled(&self.users, 1.0);
-            self.movie_acc.add_assign_scaled(&self.movies, 1.0);
-            self.acc_count += 1;
-        }
-        self.evaluate()
-    }
-
-    fn clamp(&self, p: f64) -> f64 {
-        match self.cfg.rating_bounds {
-            Some((lo, hi)) => p.clamp(lo, hi),
-            None => p,
-        }
-    }
-
-    fn evaluate(&self) -> (f64, f64) {
-        if self.data.test.is_empty() {
-            return (f64::NAN, f64::NAN);
-        }
-        let mut se_sample = 0.0;
-        let mut se_mean = 0.0;
-        let n = self.acc_count as f64;
-        for &(i, j, r) in self.data.test {
-            let (i, j) = (i as usize, j as usize);
-            let sample = self
-                .clamp(self.data.global_mean + vecops::dot(self.users.row(i), self.movies.row(j)));
-            se_sample += (sample - r) * (sample - r);
-            if self.acc_count > 0 {
-                let mean = self.clamp(
-                    self.data.global_mean
-                        + vecops::dot(self.user_acc.row(i), self.movie_acc.row(j)) / (n * n),
-                );
-                se_mean += (mean - r) * (mean - r);
-            }
-        }
-        let len = self.data.test.len() as f64;
-        let rmse_mean = if self.acc_count > 0 {
-            (se_mean / len).sqrt()
-        } else {
-            f64::NAN
-        };
-        ((se_sample / len).sqrt(), rmse_mean)
+        self.posterior.rmse(se, self.data.test.len())
     }
 
     /// Posterior-mean factors `(users, movies)` once at least one
     /// post-burn-in epoch accumulated; the current draw otherwise.
     pub fn posterior_factors(&self) -> (Mat, Mat) {
-        if self.acc_count == 0 {
-            return (self.users.clone(), self.movies.clone());
-        }
-        let scale = 1.0 / self.acc_count as f64;
-        let mut u = self.user_acc.clone();
-        let mut v = self.movie_acc.clone();
-        u.scale(scale);
-        v.scale(scale);
-        (u, v)
+        self.posterior
+            .means()
+            .unwrap_or_else(|| (self.users.clone(), self.movies.clone()))
+    }
+
+    /// The servable model: posterior-mean factors with element-wise second
+    /// moments (so uncertainty-aware ranking policies work), or the current
+    /// draw before any post-burn-in epoch.
+    pub fn posterior_model(&self) -> PosteriorModel {
+        PosteriorModel::from_posterior(
+            self.posterior.clone(),
+            || (self.users.clone(), self.movies.clone()),
+            self.data.global_mean,
+            self.cfg.rating_bounds,
+        )
     }
 
     /// Post-burn-in epochs accumulated into the posterior mean.
     pub fn accumulated_samples(&self) -> usize {
-        self.acc_count
+        self.posterior.count()
     }
 
     /// The configuration this chain runs.
@@ -419,6 +390,40 @@ mod tests {
         assert_eq!(trace_a, trace_b);
         assert_eq!(ua.as_slice(), ub.as_slice());
         assert_eq!(va.as_slice(), vb.as_slice());
+    }
+
+    #[test]
+    fn posterior_model_carries_means_and_second_moments() {
+        use crate::Recommender;
+        let (r, rt, test, mean) = planted(25, 20, 4);
+        let data = TrainData::try_new(&r, &rt, mean, &test).unwrap();
+        let cfg = SgldConfig {
+            num_latent: 4,
+            minibatch: 64,
+            burnin: 2,
+            samples: 4,
+            ..SgldConfig::default()
+        };
+        let mut s = SgldSampler::try_new(cfg, data).unwrap();
+        assert_eq!(
+            s.posterior_model().samples(),
+            0,
+            "current draw before burn-in ends"
+        );
+        let mut last = (f64::NAN, f64::NAN);
+        for _ in 0..(cfg.burnin + cfg.samples) {
+            last = s.step_epoch();
+        }
+        assert!(last.1.is_finite());
+        let model = s.posterior_model();
+        assert_eq!(model.samples(), cfg.samples);
+        let (u, _) = s.posterior_factors();
+        assert_eq!(model.user_means().as_slice(), u.as_slice());
+        let (i, j, _) = test[0];
+        let summary = model
+            .predict_with_uncertainty(i as usize, j as usize)
+            .expect("second moments after two post-burn-in epochs");
+        assert!(summary.std > 0.0 && summary.std.is_finite());
     }
 
     #[test]

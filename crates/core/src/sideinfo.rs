@@ -121,8 +121,8 @@ impl FeatureSideInfo {
     /// configured).
     ///
     /// `chol_lambda` is the Cholesky factor of the current prior precision
-    /// `Λ` — the caller already has it from
-    /// [`SideState::prior_derivatives`](crate::GibbsSampler).
+    /// `Λ` — the caller already has it from the side's per-sweep prior
+    /// parts (see [`crate::GibbsSampler`]).
     pub fn resample_beta(
         &mut self,
         items: &Mat,

@@ -66,6 +66,12 @@ use bpmf_linalg::{
 };
 use bpmf_stats::{fill_standard_normal, Xoshiro256pp};
 
+use std::sync::Mutex;
+
+use crate::checkpoint::RngState;
+use crate::config::BpmfConfig;
+use crate::store::RatingStore;
+
 /// Which factorization strategy an item update uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateMethod {
@@ -160,6 +166,139 @@ pub struct SidePrior<'a> {
     pub alpha: f64,
     /// Global rating mean subtracted from every observation.
     pub mean_offset: f64,
+}
+
+/// The owned prior quantities a sweep's [`SidePrior`] borrows: `Λ`, `Λμ`
+/// and `chol(Λ)`, computed once per sweep from the side's hyper sample.
+pub(crate) struct PriorParts {
+    lambda: Mat,
+    lambda_mu: Vec<f64>,
+    chol_lambda: Cholesky,
+}
+
+impl PriorParts {
+    /// Derive the parts from a hyper sample `(μ, Λ)`.
+    pub fn new(mu: &[f64], lambda: &Mat) -> Self {
+        PriorParts {
+            lambda_mu: lambda.matvec(mu),
+            chol_lambda: Cholesky::factor(lambda).expect("sampled prior precision must be SPD"),
+            lambda: lambda.clone(),
+        }
+    }
+
+    /// `Λμ` and `chol(Λ)`.
+    pub fn derivatives(&self) -> (&[f64], &Cholesky) {
+        (&self.lambda_mu, &self.chol_lambda)
+    }
+}
+
+/// One sweep's item draw: the side's prior, the ratings being swept, the
+/// counterpart factors and the kernel choice — everything [`update_item`]
+/// needs besides a worker's RNG stream and scratch. Every chain that sweeps
+/// items (the shared-memory sampler, sequential and hybrid distributed
+/// ranks) draws through [`ItemDraw::draw`].
+pub(crate) struct ItemDraw<'a> {
+    prior: SidePrior<'a>,
+    ratings: &'a dyn RatingStore,
+    other: &'a Mat,
+    /// Per-item prior-mean shifts (side information), one row per item.
+    pub offsets: Option<&'a Mat>,
+    rank_one_max: usize,
+    parallel_threshold: usize,
+    /// Threads a heavy item's parallel kernel may use.
+    pub kernel_threads: usize,
+}
+
+impl<'a> ItemDraw<'a> {
+    /// The draw `cfg` prescribes for items of `ratings` (one row per item)
+    /// against the counterpart factors `other`.
+    pub fn new(
+        cfg: &BpmfConfig,
+        prior: &'a PriorParts,
+        mean_offset: f64,
+        ratings: &'a dyn RatingStore,
+        other: &'a Mat,
+    ) -> Self {
+        ItemDraw {
+            prior: SidePrior {
+                lambda: &prior.lambda,
+                lambda_mu: &prior.lambda_mu,
+                chol_lambda: &prior.chol_lambda,
+                alpha: cfg.alpha,
+                mean_offset,
+            },
+            ratings,
+            other,
+            offsets: None,
+            rank_one_max: cfg.rank_one_threshold(),
+            parallel_threshold: cfg.parallel_threshold,
+            kernel_threads: cfg.kernel_threads,
+        }
+    }
+
+    /// Draw `item`'s conditional posterior sample into `out`, with the
+    /// kernel [`choose_method`] picks for its rating count.
+    pub fn draw(
+        &self,
+        item: usize,
+        rng: &mut Xoshiro256pp,
+        scratch: &mut UpdateScratch,
+        out: &mut [f64],
+    ) {
+        let ratings = self.ratings.row(item);
+        let method = choose_method(ratings.0.len(), self.rank_one_max, self.parallel_threshold);
+        update_item(
+            method,
+            &self.prior,
+            ratings,
+            self.other,
+            self.offsets.map(|g| g.row(item)),
+            rng,
+            scratch,
+            out,
+            self.kernel_threads,
+        );
+    }
+}
+
+/// Per-worker RNG streams and scratch buffers, indexed by a runner's
+/// worker id. A worker's stream fixes which draws its items get, so a
+/// static schedule over the same streams reproduces the chain exactly.
+pub(crate) struct Workers {
+    /// One lock per worker guards its stream and its scratch together.
+    slots: Vec<Mutex<(Xoshiro256pp, UpdateScratch)>>,
+}
+
+impl Workers {
+    /// One worker per stream, with scratch for latent dimension `k`.
+    pub fn new(streams: Vec<Xoshiro256pp>, k: usize) -> Self {
+        Workers {
+            slots: streams
+                .into_iter()
+                .map(|rng| Mutex::new((rng, UpdateScratch::new(k))))
+                .collect(),
+        }
+    }
+
+    /// Number of workers.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Draw `item` into `out` on `worker`'s stream and scratch.
+    pub fn draw(&self, d: &ItemDraw<'_>, worker: usize, item: usize, out: &mut [f64]) {
+        let mut slot = self.slots[worker].lock().expect("worker mutex poisoned");
+        let (rng, scratch) = &mut *slot;
+        d.draw(item, rng, scratch, out);
+    }
+
+    /// Snapshot every stream for a checkpoint.
+    pub fn rng_states(&self) -> Vec<RngState> {
+        self.slots
+            .iter()
+            .map(|m| RngState::capture(&m.lock().expect("worker mutex poisoned").0))
+            .collect()
+    }
 }
 
 /// Draw one item's conditional posterior sample into `out`.

@@ -214,4 +214,10 @@ fn sgmcmc_fits_and_serves_through_the_unified_facade() {
     let mut scores = vec![0.0; ds.train.ncols()];
     rec.score_all(0, &mut scores);
     assert!(scores.iter().all(|s| s.is_finite()));
+    // The SGLD fit serves the same posterior model as Gibbs: second
+    // moments included, so UCB/Thompson have a spread to work with.
+    let spread = rec
+        .predict_with_uncertainty(0, 0)
+        .expect("sgmcmc model carries second moments");
+    assert!(spread.std > 0.0);
 }
