@@ -2,10 +2,11 @@
 
 //! Offline stand-in for the `bytes` crate.
 //!
-//! `Bytes` is an immutable, cheaply cloneable byte buffer (an `Arc<[u8]>`
-//! under the hood — clones share storage, as the message-passing simulator
-//! relies on when it fans one payload out to many destinations). `BytesMut`
-//! is a growable builder that freezes into `Bytes`.
+//! `Bytes` is an immutable, cheaply cloneable byte buffer: clones share
+//! storage, as the message-passing simulator relies on when it fans one
+//! payload out to many destinations. `Bytes::from(Vec<u8>)` takes the
+//! vector's allocation as it is, so an encoder that fills a `Vec<u8>` hands
+//! it over without a second copy.
 
 use std::ops::Deref;
 use std::sync::Arc;
@@ -13,22 +14,18 @@ use std::sync::Arc;
 /// Immutable, cheaply cloneable byte buffer.
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
 }
 
 impl Bytes {
     /// Empty buffer.
     pub fn new() -> Self {
-        Bytes {
-            data: Arc::from(&[][..]),
-        }
+        Bytes::default()
     }
 
     /// Copy a slice into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
-        Bytes {
-            data: Arc::from(data),
-        }
+        Bytes::from(data.to_vec())
     }
 
     /// Length in bytes.
@@ -56,10 +53,9 @@ impl AsRef<[u8]> for Bytes {
 }
 
 impl From<Vec<u8>> for Bytes {
+    /// Wrap the vector's allocation (no copy).
     fn from(v: Vec<u8>) -> Self {
-        Bytes {
-            data: Arc::from(v.into_boxed_slice()),
-        }
+        Bytes { data: Arc::new(v) }
     }
 }
 
@@ -83,99 +79,16 @@ impl PartialEq for Bytes {
 
 impl Eq for Bytes {}
 
-/// Growable byte buffer that freezes into [`Bytes`].
-#[derive(Clone, Default, Debug)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Empty builder.
-    pub fn new() -> Self {
-        BytesMut { data: Vec::new() }
-    }
-
-    /// Empty builder with reserved capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Append a slice.
-    pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.data.extend_from_slice(s);
-    }
-
-    /// Length in bytes.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Clear contents, keeping capacity.
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-
-    /// Convert into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// Little-endian append operations (the subset of `bytes::BufMut` used
-/// here).
-pub trait BufMut {
-    /// Append one byte.
-    fn put_u8(&mut self, v: u8);
-    /// Append a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64);
-    /// Append a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64);
-    /// Append a slice.
-    fn put_slice(&mut self, s: &[u8]);
-}
-
-impl BufMut for BytesMut {
-    fn put_u8(&mut self, v: u8) {
-        self.data.push(v);
-    }
-
-    fn put_u64_le(&mut self, v: u64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_f64_le(&mut self, v: f64) {
-        self.data.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn put_slice(&mut self, s: &[u8]) {
-        self.data.extend_from_slice(s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip_le_words() {
-        let mut b = BytesMut::with_capacity(16);
-        b.put_u64_le(0xDEADBEEF);
-        b.put_f64_le(-2.5);
-        let frozen = b.freeze();
+        let mut v = Vec::with_capacity(16);
+        v.extend_from_slice(&0xDEADBEEFu64.to_le_bytes());
+        v.extend_from_slice(&(-2.5f64).to_le_bytes());
+        let frozen = Bytes::from(v);
         assert_eq!(frozen.len(), 16);
         assert_eq!(
             u64::from_le_bytes(frozen[..8].try_into().unwrap()),
@@ -190,5 +103,22 @@ mod tests {
         let c = b.clone();
         assert_eq!(&*b as *const [u8], &*c as *const [u8]);
         assert_eq!(b, c);
+    }
+
+    #[test]
+    fn from_vec_takes_the_allocation_without_copying() {
+        let v = vec![7u8; 4096];
+        let before = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), before, "Bytes::from(Vec) must not copy");
+        assert_eq!(b.len(), 4096);
+        assert!(b.iter().all(|&x| x == 7));
+    }
+
+    #[test]
+    fn empty_buffers() {
+        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::from(Vec::new()), Bytes::new());
+        assert_eq!(Bytes::from(&[][..]).len(), 0);
     }
 }

@@ -309,23 +309,27 @@ pub fn run_rank(
     let total_items = ((r.nrows() + r.ncols()) * iterations) as f64;
 
     // ---- Posterior-factor gather (outside the timed loop). ---------------
-    // Each rank contributes its owned rows, un-permuted to the caller's
-    // original ids; one deterministic all-reduce replicates the full
-    // posterior means (and second moments) on every rank for serving.
+    // Each rank ships only its owned rows, averaged, in one allgather; every
+    // rank writes them straight into the replicated outputs at the
+    // caller's original (pre-RCM) indices.
     let pr = perms.as_ref().map(|(pr, _)| pr);
     let pc = perms.as_ref().map(|(_, pc)| pc);
-    let inv = 1.0 / posterior.count() as f64;
-    let mut gather = |(u, v): &(Mat, Mat)| {
-        (
-            Some(gather_owned_rows(comm, u, &user_parts, rank, inv, pr)),
-            Some(gather_owned_rows(comm, v, &movie_parts, rank, inv, pc)),
-        )
-    };
-    let (user_factors, movie_factors) = posterior.sums().map_or((None, None), &mut gather);
-    let (user_second, movie_second) = posterior
-        .squares()
-        .filter(|_| posterior.count() >= 2)
-        .map_or((None, None), &mut gather);
+    let second = posterior.squares().filter(|_| posterior.count() >= 2);
+    let blocks: Vec<GatherBlock<'_>> = posterior
+        .sums()
+        .into_iter()
+        .chain(second)
+        .flat_map(|(u, v)| {
+            [
+                GatherBlock::new(u, &user_parts, pr),
+                GatherBlock::new(v, &movie_parts, pc),
+            ]
+        })
+        .collect();
+    let mut gathered = gather_owned_rows(comm, &blocks, 1.0 / posterior.count() as f64).into_iter();
+    let mut next = || gathered.next();
+    let (user_factors, movie_factors) = (next(), next());
+    let (user_second, movie_second) = (next(), next());
 
     let times = comm.time_stats();
     let (compute_frac, both_frac, comm_frac) = times.fractions();
@@ -351,26 +355,63 @@ pub fn run_rank(
     }
 }
 
-/// Average the rank's owned rows of a posterior sum (`× inv`), write them
-/// into a zeroed full-size matrix at their *original* (pre-RCM) indices,
-/// and all-reduce: every rank ends up with the complete replicated matrix.
-fn gather_owned_rows(
-    comm: &mut Comm<'_>,
-    sums: &Mat,
-    parts: &BlockPartition,
-    rank: usize,
-    inv: f64,
-    perm: Option<&Permutation>,
-) -> FlatMat {
-    let mut full = Mat::zeros(sums.rows(), sums.cols());
-    for i in parts.range(rank) {
-        let dst = perm.map_or(i, |p| p.old_of(i));
-        for (o, &v) in full.row_mut(dst).iter_mut().zip(sums.row(i)) {
-            *o = v * inv;
-        }
+/// One matrix of the end-of-run gather: the rank's posterior sums (only
+/// its owned rows are read), the partition of its rows across ranks, and
+/// the permutation back to the caller's row order.
+struct GatherBlock<'a> {
+    sums: &'a Mat,
+    parts: &'a BlockPartition,
+    perm: Option<&'a Permutation>,
+}
+
+impl<'a> GatherBlock<'a> {
+    fn new(sums: &'a Mat, parts: &'a BlockPartition, perm: Option<&'a Permutation>) -> Self {
+        GatherBlock { sums, parts, perm }
     }
-    comm.allreduce_sum_f64(full.as_mut_slice());
-    FlatMat::from_mat(&full)
+}
+
+/// Replicate `blocks` on every rank from their owners' rows.
+///
+/// Each rank encodes its owned (consecutive) rows of every block, scaled
+/// by `inv`, into one payload; one [`Comm::allgather`] delivers every
+/// rank's payload everywhere, and each received row is decoded straight
+/// into its un-permuted place in the output. Every rank must pass blocks
+/// of the same shapes and partitions, in the same order.
+fn gather_owned_rows(comm: &mut Comm<'_>, blocks: &[GatherBlock<'_>], inv: f64) -> Vec<FlatMat> {
+    let rank = comm.rank();
+    let owned = |b: &GatherBlock<'_>, p: usize| {
+        let (k, rows) = (b.sums.cols(), b.parts.range(p));
+        rows.start * k..rows.end * k
+    };
+    let mut payload = Vec::with_capacity(blocks.iter().map(|b| owned(b, rank).len() * 8).sum());
+    for b in blocks {
+        let mine = &b.sums.as_slice()[owned(b, rank)];
+        wire::put_f64s(&mut payload, mine.iter().map(|v| v * inv));
+    }
+    let received = comm.allgather(payload);
+
+    let mut out: Vec<FlatMat> = blocks
+        .iter()
+        .map(|b| FlatMat {
+            rows: b.sums.rows(),
+            cols: b.sums.cols(),
+            data: vec![0.0; b.sums.rows() * b.sums.cols()],
+        })
+        .collect();
+    for (src, bytes) in received.iter().enumerate() {
+        let mut at = 0;
+        for (b, o) in blocks.iter().zip(&mut out) {
+            let k = b.sums.cols();
+            for i in b.parts.range(src) {
+                let dst = b.perm.map_or(i, |p| p.old_of(i));
+                let row = bytes.get(at..at + 8 * k).expect("gather payload too short");
+                wire::read_f64s(row, &mut o.data[dst * k..(dst + 1) * k]);
+                at += 8 * k;
+            }
+        }
+        assert_eq!(at, bytes.len(), "gather payload too long");
+    }
+    out
 }
 
 /// Train ∪ test structure matrix (values irrelevant, deduplicated).
@@ -656,14 +697,13 @@ impl Exchange {
     }
 }
 
-/// Unpack a buffered message of `(index, row)` records into the local
-/// replica.
+/// Unpack a buffered message of `(index, row)` records straight into the
+/// local replica's rows.
 fn apply_items(items: &mut Mat, bytes: &[u8], stride: usize, outstanding: &mut usize) {
     assert_eq!(bytes.len() % (stride * 8), 0, "ragged item buffer");
-    let floats = wire::bytes_to_f64s(bytes);
-    for chunk in floats.chunks_exact(stride) {
-        let idx = chunk[0] as usize;
-        items.row_mut(idx).copy_from_slice(&chunk[1..]);
+    for record in bytes.chunks_exact(stride * 8) {
+        let (idx, row) = record.split_at(8);
+        wire::read_f64s(row, items.row_mut(wire::read_f64(idx) as usize));
         assert!(*outstanding > 0, "received more items than the plan quota");
         *outstanding -= 1;
     }
@@ -1115,6 +1155,71 @@ mod tests {
             served_rmse.is_finite() && (served_rmse - reported).abs() < 0.25 * reported.max(0.1),
             "served {served_rmse} vs reported {reported}"
         );
+    }
+
+    #[test]
+    fn gather_replicates_owned_rows_in_caller_order_bit_for_bit() {
+        // Three ranks. Users split 1 / 3 / 3 under a permutation that
+        // reverses them; movies split 1 / 1 / 0 (rank 2 owns none) under a
+        // swap. Every rank fills only the rows it owns and poisons the
+        // rest with NaN, so any read of a non-owned row shows up.
+        let user_parts = BlockPartition::weighted(&[5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 3);
+        let movie_parts = BlockPartition::uniform(2, 3);
+        assert_eq!(user_parts.ranges(), &[0..1, 1..4, 4..7]);
+        assert_eq!(movie_parts.ranges(), &[0..1, 1..2, 2..2]);
+        let user_perm = Permutation::from_order((0..7).rev().collect());
+        let movie_perm = Permutation::from_order(vec![1, 0]);
+        let k = 3;
+        let inv = 1.0 / 3.0;
+        // Awkward bit patterns on purpose: −0.0 keeps its sign, a
+        // subnormal scales exactly as it would in place.
+        let value = |block: usize, i: usize, c: usize| match (i + c) % 4 {
+            0 => -0.0,
+            1 => f64::from_bits(3 + block as u64),
+            _ => (block * 100 + i * 10 + c) as f64 * 0.37 - 1.1,
+        };
+        let sums = |block: usize, rows: usize, parts: &BlockPartition, rank: usize| {
+            Mat::from_fn(rows, k, |i, c| {
+                if parts.part_of(i) == rank {
+                    value(block, i, c)
+                } else {
+                    f64::NAN
+                }
+            })
+        };
+        let layout = [
+            (7, &user_parts, &user_perm),
+            (2, &movie_parts, &movie_perm),
+            (7, &user_parts, &user_perm),
+            (2, &movie_parts, &movie_perm),
+        ];
+        let out = Universe::run(3, None, |comm| {
+            let mats: Vec<Mat> = layout
+                .iter()
+                .enumerate()
+                .map(|(b, (rows, parts, _))| sums(b, *rows, parts, comm.rank()))
+                .collect();
+            let blocks: Vec<GatherBlock<'_>> = mats
+                .iter()
+                .zip(&layout)
+                .map(|(m, (_, parts, perm))| GatherBlock::new(m, parts, Some(perm)))
+                .collect();
+            gather_owned_rows(comm, &blocks, inv)
+        });
+        for (rank, gathered) in out.iter().enumerate() {
+            assert_eq!(gathered.len(), layout.len());
+            for (b, ((rows, _, perm), got)) in layout.iter().zip(gathered).enumerate() {
+                assert_eq!((got.rows, got.cols), (*rows, k));
+                let mut want = vec![f64::NAN; rows * k];
+                for i in 0..*rows {
+                    for c in 0..k {
+                        want[perm.old_of(i) * k + c] = value(b, i, c) * inv;
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.data), bits(&want), "rank {rank}, block {b}");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::{Tag, RESERVED_TAG_BASE};
 const TAG_ALLREDUCE_CONTRIB: Tag = RESERVED_TAG_BASE;
 const TAG_ALLREDUCE_RESULT: Tag = RESERVED_TAG_BASE + 1;
 const TAG_BCAST: Tag = RESERVED_TAG_BASE + 2;
-const TAG_GATHER: Tag = RESERVED_TAG_BASE + 3;
+const TAG_ALLGATHER: Tag = RESERVED_TAG_BASE + 3;
 const TAG_ALLREDUCE_MAX_CONTRIB: Tag = RESERVED_TAG_BASE + 4;
 const TAG_ALLREDUCE_MAX_RESULT: Tag = RESERVED_TAG_BASE + 5;
 
@@ -260,8 +260,8 @@ impl<'a> Comm<'a> {
             // Rank order for deterministic floating-point reduction.
             for bytes in incoming {
                 assert_eq!(bytes.len(), buf.len() * 8, "allreduce length mismatch");
-                for (i, c) in bytes.chunks_exact(8).enumerate() {
-                    buf[i] += f64::from_le_bytes(c.try_into().unwrap());
+                for (v, c) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *v += wire::read_f64(c);
                 }
             }
             let result = wire::f64s_to_bytes(buf);
@@ -272,9 +272,7 @@ impl<'a> Comm<'a> {
             let contrib = wire::f64s_to_bytes(buf);
             self.send_raw(0, TAG_ALLREDUCE_CONTRIB, contrib);
             let (_, result) = self.recv(Some(0), TAG_ALLREDUCE_RESULT);
-            for (v, c) in buf.iter_mut().zip(result.chunks_exact(8)) {
-                *v = f64::from_le_bytes(c.try_into().unwrap());
-            }
+            wire::read_f64s(&result, buf);
         }
     }
 
@@ -288,8 +286,8 @@ impl<'a> Comm<'a> {
             for _ in 1..n {
                 let (_, bytes) = self.recv(None, TAG_ALLREDUCE_MAX_CONTRIB);
                 assert_eq!(bytes.len(), buf.len() * 8, "allreduce length mismatch");
-                for (i, c) in bytes.chunks_exact(8).enumerate() {
-                    buf[i] = buf[i].max(f64::from_le_bytes(c.try_into().unwrap()));
+                for (v, c) in buf.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *v = v.max(wire::read_f64(c));
                 }
             }
             let result = wire::f64s_to_bytes(buf);
@@ -300,9 +298,7 @@ impl<'a> Comm<'a> {
             let contrib = wire::f64s_to_bytes(buf);
             self.send_raw(0, TAG_ALLREDUCE_MAX_CONTRIB, contrib);
             let (_, result) = self.recv(Some(0), TAG_ALLREDUCE_MAX_RESULT);
-            for (v, c) in buf.iter_mut().zip(result.chunks_exact(8)) {
-                *v = f64::from_le_bytes(c.try_into().unwrap());
-            }
+            wire::read_f64s(&result, buf);
         }
     }
 
@@ -329,29 +325,31 @@ impl<'a> Comm<'a> {
             }
         } else {
             let (_, payload) = self.recv(Some(root), TAG_BCAST);
-            assert_eq!(payload.len(), buf.len() * 8, "bcast length mismatch");
-            for (v, c) in buf.iter_mut().zip(payload.chunks_exact(8)) {
-                *v = f64::from_le_bytes(c.try_into().unwrap());
-            }
+            wire::read_f64s(&payload, buf);
         }
     }
 
-    /// Gather every rank's payload at `root` (rank order). Returns `Some`
-    /// on the root, `None` elsewhere.
-    pub fn gather_bytes(&mut self, root: usize, payload: &[u8]) -> Option<Vec<Bytes>> {
-        let n = self.size();
-        if self.rank == root {
-            let mut out = vec![Bytes::new(); n];
-            out[root] = Bytes::copy_from_slice(payload);
-            for _ in 0..n - 1 {
-                let (src, bytes) = self.recv(None, TAG_GATHER);
-                out[src] = bytes;
-            }
-            Some(out)
-        } else {
-            self.send_raw(root, TAG_GATHER, Bytes::copy_from_slice(payload));
-            None
+    /// Every rank's payload on every rank, in rank order (`MPI_Allgatherv`).
+    ///
+    /// Each rank sends its payload straight to every peer: the buffer is
+    /// shared, not copied, across destinations, and nothing is routed
+    /// through a root. Payloads may differ in length, including zero. The
+    /// caller's own payload comes back at index `rank()`.
+    pub fn allgather(&mut self, payload: impl Into<Bytes>) -> Vec<Bytes> {
+        let payload = payload.into();
+        let (n, rank) = (self.size(), self.rank);
+        for dst in (0..n).filter(|&d| d != rank) {
+            self.send_raw(dst, TAG_ALLGATHER, payload.clone());
         }
+        (0..n)
+            .map(|src| {
+                if src == rank {
+                    payload.clone()
+                } else {
+                    self.recv(Some(src), TAG_ALLGATHER).1
+                }
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -560,19 +558,60 @@ mod tests {
         }
     }
 
+    fn gathered(out: &[Vec<Bytes>]) -> Vec<Vec<Vec<u8>>> {
+        out.iter()
+            .map(|per_rank| per_rank.iter().map(|b| b.to_vec()).collect())
+            .collect()
+    }
+
     #[test]
-    fn gather_collects_in_rank_order() {
-        let out = Universe::run(3, None, |comm| {
-            let payload = vec![comm.rank() as u8; comm.rank() + 1];
-            comm.gather_bytes(0, &payload)
+    fn allgather_delivers_rank_order_everywhere_with_uneven_and_empty_payloads() {
+        // Rank r contributes r bytes of value r: rank 0's payload is empty.
+        let n = 4;
+        let want: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; r]).collect();
+        let out = Universe::run(n, None, |comm| {
+            let mine = vec![comm.rank() as u8; comm.rank()];
+            comm.allgather(mine)
         });
-        let gathered = out[0].as_ref().unwrap();
-        assert_eq!(gathered.len(), 3);
-        for (r, b) in gathered.iter().enumerate() {
-            assert_eq!(b.len(), r + 1);
-            assert!(b.iter().all(|&x| x == r as u8));
+        for per_rank in gathered(&out) {
+            assert_eq!(per_rank, want);
         }
-        assert!(out[1].is_none() && out[2].is_none());
+    }
+
+    #[test]
+    fn allgather_on_one_rank_returns_its_own_payload_without_traffic() {
+        let out = Universe::run(1, None, |comm| {
+            let got = comm.allgather(vec![9u8, 8, 7]);
+            (got, comm.stats())
+        });
+        let (got, stats) = &out[0];
+        assert_eq!(got.len(), 1);
+        assert_eq!(&got[0][..], &[9, 8, 7]);
+        assert_eq!(stats.msgs_sent, 0);
+        assert_eq!(stats.bytes_sent, 0);
+    }
+
+    #[test]
+    fn allgather_under_the_network_model_keeps_order_across_rounds() {
+        // Two back-to-back rounds with delayed delivery: per-source FIFO
+        // must keep round 1's payloads out of round 0's result.
+        let n = 3;
+        let out = Universe::run(n, Some(NetModel::test_cluster()), |comm| {
+            let r = comm.rank() as u8;
+            let first = comm.allgather(vec![r; 2 * comm.rank() + 1]);
+            let second = comm.allgather(vec![r + 10; 1000 * (n - comm.rank())]);
+            (first, second, comm.stats())
+        });
+        for (first, second, stats) in &out {
+            for (src, (a, b)) in first.iter().zip(second).enumerate() {
+                assert_eq!(a.to_vec(), vec![src as u8; 2 * src + 1]);
+                assert_eq!(b.to_vec(), vec![src as u8 + 10; 1000 * (n - src)]);
+            }
+            assert_eq!(stats.msgs_sent, 2 * (n as u64 - 1));
+        }
+        // Each rank sends its own payload once per peer.
+        let sent: Vec<u64> = out.iter().map(|o| o.2.bytes_sent).collect();
+        assert_eq!(sent, vec![2 * (1 + 3000), 2 * (3 + 2000), 2 * (5 + 1000)]);
     }
 
     #[test]

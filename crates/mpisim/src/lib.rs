@@ -15,7 +15,10 @@
 //! `bpmf::distributed` — partitioning, send buffering, phase protocols,
 //! overlap accounting — is written against [`Comm`], whose surface
 //! deliberately mirrors the MPI calls the paper names (`send`/`isend`,
-//! blocking and polling receive, barrier, allreduce, gather).
+//! blocking and polling receive, barrier, and the collectives
+//! `allreduce` (sum and max, reduced in rank order), `bcast` and
+//! `allgather`). [`wire`] is the little-endian `f64` codec every payload
+//! goes through.
 //!
 //! # Example
 //!

@@ -1,62 +1,60 @@
-//! Payload encoding helpers (little-endian `f64`/`u64` slices).
+//! Payload encoding helpers (little-endian `f64` slices).
 //!
 //! The distributed BPMF driver ships factor rows and sufficient statistics
 //! as flat `f64` buffers; these helpers are the only (de)serialization it
 //! needs, with explicit little-endian framing so payloads are
-//! platform-independent.
+//! platform-independent. Encoding is one pass into one allocation that
+//! the returned [`Bytes`] takes over as is; decoding writes straight into
+//! the caller's rows.
 
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+
+/// Append `values` to `out` as little-endian `f64`s.
+pub fn put_f64s(out: &mut Vec<u8>, values: impl IntoIterator<Item = f64>) {
+    let values = values.into_iter();
+    out.reserve(values.size_hint().0 * 8);
+    for v in values {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+}
 
 /// Encode an `f64` slice.
 pub fn f64s_to_bytes(data: &[f64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(data.len() * 8);
-    for &v in data {
-        buf.put_f64_le(v);
+    let mut out = Vec::with_capacity(data.len() * 8);
+    put_f64s(&mut out, data.iter().copied());
+    Bytes::from(out)
+}
+
+/// Decode an `f64` payload into `out`, which must hold exactly
+/// `bytes.len() / 8` values.
+pub fn read_f64s(bytes: &[u8], out: &mut [f64]) {
+    assert_eq!(bytes.len(), out.len() * 8, "payload length mismatch");
+    for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
+        *v = read_f64(c);
     }
-    buf.freeze()
+}
+
+/// Decode one `f64` from the first 8 bytes of `bytes`.
+#[inline]
+pub fn read_f64(bytes: &[u8]) -> f64 {
+    f64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
 /// Decode an `f64` payload. Panics if the length is not a multiple of 8.
 pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
     assert_eq!(bytes.len() % 8, 0, "payload is not a whole number of f64s");
-    bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
-}
-
-/// Decode an `f64` payload into an existing buffer (no allocation).
-pub fn bytes_to_f64s_into(bytes: &[u8], out: &mut Vec<f64>) {
-    assert_eq!(bytes.len() % 8, 0, "payload is not a whole number of f64s");
-    out.clear();
-    out.extend(
-        bytes
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap())),
-    );
-}
-
-/// Encode a `u64` slice.
-pub fn u64s_to_bytes(data: &[u64]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(data.len() * 8);
-    for &v in data {
-        buf.put_u64_le(v);
-    }
-    buf.freeze()
-}
-
-/// Decode a `u64` payload. Panics if the length is not a multiple of 8.
-pub fn bytes_to_u64s(bytes: &[u8]) -> Vec<u64> {
-    assert_eq!(bytes.len() % 8, 0, "payload is not a whole number of u64s");
-    bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    let mut out = vec![0.0; bytes.len() / 8];
+    read_f64s(bytes, &mut out);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     #[test]
     fn f64_roundtrip() {
@@ -69,20 +67,53 @@ mod tests {
     #[test]
     fn f64_roundtrip_into_buffer() {
         let data = vec![1.0, 2.0, 3.0];
-        let mut out = vec![9.9; 17];
-        bytes_to_f64s_into(&f64s_to_bytes(&data), &mut out);
+        let mut out = vec![9.9; 3];
+        read_f64s(&f64s_to_bytes(&data), &mut out);
         assert_eq!(out, data);
     }
 
     #[test]
-    fn u64_roundtrip() {
-        let data = vec![0u64, 1, u64::MAX, 0xDEADBEEF];
-        assert_eq!(bytes_to_u64s(&u64s_to_bytes(&data)), data);
+    fn roundtrip_is_bit_exact_on_special_values() {
+        let data = vec![
+            -0.0,
+            0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7FF8_0000_0000_0001), // quiet NaN with payload
+            f64::from_bits(0xFFF0_0000_DEAD_BEEF), // negative signaling NaN
+            f64::from_bits(1),                     // smallest subnormal
+            -f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest negative subnormal
+        ];
+        let bytes = f64s_to_bytes(&data);
+        assert_eq!(bits(&bytes_to_f64s(&bytes)), bits(&data));
+        let mut out = vec![1.0; data.len()];
+        read_f64s(&bytes, &mut out);
+        assert_eq!(bits(&out), bits(&data));
+    }
+
+    #[test]
+    fn encoding_is_little_endian() {
+        let bytes = f64s_to_bytes(&[1.0]);
+        assert_eq!(&bytes[..], &1.0f64.to_bits().to_le_bytes());
+        assert_eq!(read_f64(&bytes), 1.0);
+    }
+
+    #[test]
+    fn put_appends_to_an_existing_buffer() {
+        let mut out = f64s_to_bytes(&[2.0]).to_vec();
+        put_f64s(&mut out, [3.0, -0.0]);
+        assert_eq!(bits(&bytes_to_f64s(&out)), bits(&[2.0, 3.0, -0.0]));
     }
 
     #[test]
     #[should_panic(expected = "whole number")]
     fn ragged_payload_panics() {
         let _ = bytes_to_f64s(&[1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn read_into_wrong_length_panics() {
+        read_f64s(&f64s_to_bytes(&[1.0, 2.0]), &mut [0.0; 3]);
     }
 }
