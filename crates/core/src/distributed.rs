@@ -3,9 +3,11 @@
 //! Reproduces the paper's design decisions faithfully:
 //!
 //! * **Data distribution** (§IV-B): `U` and `V` are split into consecutive
-//!   regions balanced by the workload model (fixed cost + cost per rating);
-//!   optionally `R` is first reordered with reverse Cuthill–McKee so
-//!   connected items land in the same region and cross-rank traffic shrinks.
+//!   regions balanced by [`WorkModel::default`] — fixed cost + cost per
+//!   rating, calibrated on the current item-update kernels, with a row that
+//!   has no ratings priced as the single prior draw it costs. Optionally `R`
+//!   is first reordered with reverse Cuthill–McKee so connected items land
+//!   in the same region and cross-rank traffic shrinks.
 //! * **Updates and communication** (§IV-C): when a rank finishes an item it
 //!   appends the new factor row to a per-destination buffer and ships the
 //!   buffer only when full — "the overhead of calling these routines is too
@@ -20,6 +22,12 @@
 //! * **Replicated hyperparameter sampling**: sufficient statistics are
 //!   all-reduced (deterministic rank-ordered reduction) and every rank draws
 //!   the identical `(μ, Λ)` from a replicated RNG stream.
+//!
+//! * **Posterior gather**: after the last iteration each rank ships only
+//!   the rows it owns of the posterior means and second moments, averaged
+//!   and encoded in one pass, in a single [`Comm::allgather`]; every rank
+//!   writes the received rows straight into replicated matrices in the
+//!   caller's original (pre-RCM) row order.
 //!
 //! Test-set edges are included in the communication plan, so every rank
 //! holds fresh values for exactly the counterpart rows its held-out points
@@ -123,25 +131,29 @@ pub struct DistOutcome {
     pub both_frac: f64,
     /// Fraction of accounted time blocked in communication.
     pub comm_frac: f64,
-    /// Payload bytes this rank sent.
+    /// Payload bytes this rank sent from the start of the timed loop on:
+    /// item exchange, collectives and the end-of-run posterior gather.
     pub bytes_sent: u64,
-    /// Messages this rank sent.
+    /// Messages this rank sent over the same span as `bytes_sent`.
     pub msgs_sent: u64,
     /// Cross-rank item transfers per iteration (both sides, all ranks).
     pub comm_volume_items: usize,
-    /// Posterior-mean user factors in *original* (pre-RCM) row order,
-    /// gathered across ranks after the run — identical on every rank.
-    /// `None` when no post-burn-in iterations ran.
+    /// Posterior-mean user factors in *original* (pre-RCM) row order —
+    /// identical on every rank. Each row was averaged on the rank that owns
+    /// it and reached the others through the end-of-run allgather. `None`
+    /// when no post-burn-in iterations ran.
     #[serde(default)]
     pub user_factors: Option<FlatMat>,
-    /// Posterior-mean movie factors (original order, replicated).
+    /// Posterior-mean movie factors (original order, replicated the same
+    /// way).
     #[serde(default)]
     pub movie_factors: Option<FlatMat>,
     /// Element-wise posterior second moments `E[u²]` (present with
-    /// `factor_samples >= 2`), feeding uncertainty-aware serving.
+    /// `factor_samples >= 2`; original order, replicated), feeding
+    /// uncertainty-aware serving.
     #[serde(default)]
     pub user_second: Option<FlatMat>,
-    /// Element-wise posterior second moments `E[v²]`.
+    /// Element-wise posterior second moments `E[v²]` (as `user_second`).
     #[serde(default)]
     pub movie_second: Option<FlatMat>,
     /// Post-burn-in draws the factor means average over.

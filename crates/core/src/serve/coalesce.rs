@@ -13,7 +13,10 @@
 //!   flush** — bounds the queueing latency a lone request can pay for the
 //!   chance of sharing a catalogue pass).
 //!
-//! Either way the batch takes everything pending, up to `max_batch`.
+//! A worker that comes free while requests are pending and has no reason
+//! to wait — the window is zero, or the queue is draining — also flushes
+//! (**pending-at-free flush**). Either way the batch takes everything
+//! pending, up to `max_batch`; [`Queue::flushes`] counts each cause.
 //! `batch_window == 0`, the default, never waits: `next_batch` returns as
 //! soon as anything is pending. A request reaching an idle worker is
 //! served at once, and under load the backlog that builds while one batch
@@ -33,6 +36,7 @@
 //! socket in sight.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -60,6 +64,25 @@ impl Default for CoalesceConfig {
     }
 }
 
+/// Batches released by each flush rule (see the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FlushCounts {
+    /// A full batch was pending, or a full queue.
+    pub size: u64,
+    /// A worker came free with requests pending and nothing to wait for:
+    /// a zero window, or a draining queue.
+    pub pending_at_free: u64,
+    /// The oldest pending request waited out `batch_window`.
+    pub deadline: u64,
+}
+
+#[derive(Default)]
+struct FlushCounters {
+    size: AtomicU64,
+    pending_at_free: AtomicU64,
+    deadline: AtomicU64,
+}
+
 struct State<T> {
     /// Pending jobs with their arrival times (front = oldest).
     queue: VecDeque<(T, Instant)>,
@@ -75,6 +98,7 @@ pub struct Queue<T> {
     not_empty: Condvar,
     /// Signals submitters: capacity freed.
     not_full: Condvar,
+    flushes: FlushCounters,
 }
 
 impl<T> Queue<T> {
@@ -93,6 +117,7 @@ impl<T> Queue<T> {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
+            flushes: FlushCounters::default(),
         }
     }
 
@@ -121,6 +146,16 @@ impl<T> Queue<T> {
         Ok(())
     }
 
+    /// Batches released so far, by flush rule.
+    pub fn flushes(&self) -> FlushCounts {
+        let f = &self.flushes;
+        FlushCounts {
+            size: f.size.load(Ordering::Relaxed),
+            pending_at_free: f.pending_at_free.load(Ordering::Relaxed),
+            deadline: f.deadline.load(Ordering::Relaxed),
+        }
+    }
+
     /// Number of jobs currently pending.
     pub fn pending(&self) -> usize {
         self.state.lock().unwrap().queue.len()
@@ -143,16 +178,16 @@ impl<T> Queue<T> {
             // Shutdown flushes immediately: latency no longer buys
             // anything once no new requests can join the batch. Neither
             // does a full queue, even one capped below `max_batch`.
-            if st.queue.len() >= self.cfg.max_batch.min(self.cfg.queue_cap)
-                || self.cfg.batch_window.is_zero()
-                || st.draining
-            {
-                return Some(self.drain(&mut st));
+            if st.queue.len() >= self.cfg.max_batch.min(self.cfg.queue_cap) {
+                return Some(self.drain(&mut st, &self.flushes.size));
+            }
+            if self.cfg.batch_window.is_zero() || st.draining {
+                return Some(self.drain(&mut st, &self.flushes.pending_at_free));
             }
             let deadline = st.queue.front().unwrap().1 + self.cfg.batch_window;
             let now = Instant::now();
             if now >= deadline {
-                return Some(self.drain(&mut st));
+                return Some(self.drain(&mut st, &self.flushes.deadline));
             }
             // Re-check on every wake: a submit may have filled the batch,
             // shutdown may have begun, or the deadline may have passed.
@@ -161,7 +196,8 @@ impl<T> Queue<T> {
         }
     }
 
-    fn drain(&self, st: &mut State<T>) -> Vec<T> {
+    fn drain(&self, st: &mut State<T>, cause: &AtomicU64) -> Vec<T> {
+        cause.fetch_add(1, Ordering::Relaxed);
         let take = st.queue.len().min(self.cfg.max_batch);
         let batch = st.queue.drain(..take).map(|(job, _)| job).collect();
         self.not_full.notify_all();
@@ -211,6 +247,13 @@ mod tests {
             t0.elapsed() < Duration::from_secs(10),
             "size flush must not sit out the 60s window"
         );
+        assert_eq!(
+            q.flushes(),
+            FlushCounts {
+                size: 1,
+                ..FlushCounts::default()
+            }
+        );
     }
 
     #[test]
@@ -245,6 +288,13 @@ mod tests {
         // time-sharing one core with this thread.
         assert!(t0.elapsed() >= window, "flushed before the deadline");
         assert!(t0.elapsed() < window * 500, "deadline wildly overshot");
+        assert_eq!(
+            q.flushes(),
+            FlushCounts {
+                deadline: 1,
+                ..FlushCounts::default()
+            }
+        );
     }
 
     #[test]
@@ -255,6 +305,13 @@ mod tests {
         // Flushes whatever is pending without any deadline wait; a backlog
         // still shares one batch.
         assert_eq!(q.next_batch().unwrap(), vec![1, 2]);
+        assert_eq!(
+            q.flushes(),
+            FlushCounts {
+                pending_at_free: 1,
+                ..FlushCounts::default()
+            }
+        );
     }
 
     #[test]
@@ -317,6 +374,12 @@ mod tests {
         );
         assert!(q.next_batch().is_none(), "drained queue reports None");
         assert!(q.next_batch().is_none(), "None is sticky");
+        assert_eq!(
+            q.flushes().pending_at_free,
+            1,
+            "a draining flush waits for nothing"
+        );
+        assert_eq!(q.flushes().deadline, 0);
     }
 
     #[test]

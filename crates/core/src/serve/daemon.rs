@@ -121,6 +121,10 @@ pub struct DaemonReport {
     pub batches: u64,
     /// Largest single batch.
     pub largest_batch: u64,
+    /// Batches released because their oldest request waited out the
+    /// coalescing window. Always 0 under the default zero window, where a
+    /// free worker never waits.
+    pub deadline_flushes: u64,
     /// Lines answered with a typed error (malformed, validation, or
     /// refused during shutdown).
     pub rejected: u64,
@@ -202,6 +206,7 @@ pub fn serve(
         requests: counters.requests.load(Ordering::Relaxed),
         batches: counters.batches.load(Ordering::Relaxed),
         largest_batch: counters.largest_batch.load(Ordering::Relaxed),
+        deadline_flushes: queue.flushes().deadline,
         rejected: counters.rejected.load(Ordering::Relaxed),
         worker_panics: counters.worker_panics.load(Ordering::Relaxed),
         faults_injected: counters.faults_injected.load(Ordering::Relaxed),

@@ -2,34 +2,40 @@
 //!
 //! The paper approximates the cost of updating one item as
 //! *fixed cost + cost per rating* and splits `U` and `V` into consecutive
-//! regions whose *modeled work* (not item count) is balanced. From a
-//! partition plus the rating structure we derive the communication plan:
-//! which ranks need each updated item, and how many items each rank will
-//! receive per phase (the distributed driver's termination condition).
+//! regions whose *modeled work* (not item count) is balanced. A row with no
+//! ratings is priced separately: it costs one draw from the prior, with no
+//! factorization. From a partition plus the rating structure we derive the
+//! communication plan: which ranks need each updated item, and how many
+//! items each rank will receive per phase (the distributed driver's
+//! termination condition).
 
 use std::ops::Range;
 
 use crate::csr::Csr;
 
-/// The paper's linear per-item cost model derived from Fig. 2.
+/// The paper's linear per-item cost model (Fig. 2), plus the price of a
+/// row with no ratings.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WorkModel {
-    /// Cost charged to every item regardless of ratings (prior solve,
-    /// sampling noise, bookkeeping).
+    /// Cost charged to every item with at least one rating, regardless of
+    /// how many (precision set-up, factorization, the draw, bookkeeping).
     pub fixed_cost: f64,
+    /// Cost of an item with no ratings: one draw from the side's prior.
+    pub empty_cost: f64,
     /// Incremental cost per rating (one rank-K accumulation step).
     pub cost_per_rating: f64,
 }
 
 impl WorkModel {
     /// Model with the given constants.
-    pub fn new(fixed_cost: f64, cost_per_rating: f64) -> Self {
+    pub fn new(fixed_cost: f64, empty_cost: f64, cost_per_rating: f64) -> Self {
         assert!(
-            fixed_cost >= 0.0 && cost_per_rating >= 0.0,
+            fixed_cost >= 0.0 && empty_cost >= 0.0 && cost_per_rating >= 0.0,
             "costs must be non-negative"
         );
         WorkModel {
             fixed_cost,
+            empty_cost,
             cost_per_rating,
         }
     }
@@ -37,7 +43,11 @@ impl WorkModel {
     /// Modeled cost of an item with `nnz` ratings.
     #[inline]
     pub fn weight(&self, nnz: usize) -> f64 {
-        self.fixed_cost + self.cost_per_rating * nnz as f64
+        if nnz == 0 {
+            self.empty_cost
+        } else {
+            self.fixed_cost + self.cost_per_rating * nnz as f64
+        }
     }
 
     /// Modeled cost of every row of `m`.
@@ -47,12 +57,26 @@ impl WorkModel {
 }
 
 impl Default for WorkModel {
-    /// Constants calibrated on the serial-Cholesky kernel at K = 32 (see the
-    /// `fig2_item_update` harness): an empty item costs about as much as ~40
-    /// rating accumulations.
+    /// Constants for the item-update kernels at K = 32, read off the
+    /// benchmark's per-layer metrics (`--workload dist_chembl --trace 1` on
+    /// a 2-vCPU AVX-512 host). One unit is one rating, about 0.5 µs:
+    ///
+    /// * a row with no ratings costs one prior draw, `stats.mvn_draw_ns`
+    ///   ≈ 0.8–1.1 µs, plus its share of the sweep loop: **2.5**;
+    /// * a one-rating row, `update.light_item_us` ≈ 3.3–4.5 µs, costs
+    ///   **6 + 1** — about three empty rows;
+    /// * each further rating adds **1**. `update.heavy_ns_per_rating`
+    ///   ≈ 0.85 µs is an upper bound on that slope, since it spreads every
+    ///   heavy row's factorization and draw over its ratings.
+    ///
+    /// On the chembl-shaped matrix the unrated rows all land in one region
+    /// after RCM. Priced like rated rows (the earlier 40 + 1 model), they
+    /// left that rank 10–16 % less loop CPU than its peer; these constants
+    /// even the two ranks out.
     fn default() -> Self {
         WorkModel {
-            fixed_cost: 40.0,
+            fixed_cost: 6.0,
+            empty_cost: 2.5,
             cost_per_rating: 1.0,
         }
     }
@@ -321,9 +345,30 @@ mod tests {
 
     #[test]
     fn work_model_weights() {
-        let wm = WorkModel::new(10.0, 2.0);
-        assert_eq!(wm.weight(0), 10.0);
+        let wm = WorkModel::new(10.0, 3.0, 2.0);
+        assert_eq!(wm.weight(0), 3.0, "an empty row costs one prior draw");
+        assert_eq!(wm.weight(1), 12.0);
         assert_eq!(wm.weight(5), 20.0);
+    }
+
+    #[test]
+    fn default_model_prices_an_unrated_row_below_a_rated_one() {
+        let wm = WorkModel::default();
+        assert!(wm.weight(0) > 0.0, "an unrated row still costs a draw");
+        assert!(wm.weight(0) < wm.weight(1));
+        assert!(wm.weight(1) < wm.weight(2));
+        // Four one-rating rows, then eight unrated ones: the region of
+        // unrated rows holds twice as many of them, where pricing every row
+        // alike would split the count evenly.
+        let mut coo = Coo::new(12, 2);
+        for i in 0..4 {
+            coo.push(i, i % 2, 1.0);
+        }
+        let m = Csr::from_coo(&coo);
+        let weights = wm.row_weights(&m);
+        assert_eq!(weights[11], wm.empty_cost);
+        let p = BlockPartition::weighted(&weights, 2);
+        assert_eq!(p.ranges(), &[0..4, 4..12]);
     }
 
     fn cross_matrix() -> Csr {

@@ -6,12 +6,13 @@
 //! error replies on a surviving connection; shutdown drains everything
 //! accepted before the signal; pipelined traffic actually coalesces into
 //! multi-request batches; and the default daemon serves a lone request
-//! without waiting for a companion.
+//! without waiting for a companion (no batch is ever released by the
+//! coalescing window's deadline).
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bpmf::serve::coalesce::CoalesceConfig;
 use bpmf::serve::daemon::{self, DaemonConfig, DaemonReport, ServingModel};
@@ -252,33 +253,57 @@ fn pipelined_requests_coalesce_into_batches() {
     );
 }
 
-#[test]
-fn default_daemon_serves_sequential_requests_without_waiting() {
-    // The default window is zero: a request reaching the idle worker is
-    // scored at once. Any window would be a floor under every one of
-    // these round trips; take the fastest, so a descheduled thread on a
-    // loaded host cannot fail the test.
-    let total = 10u32;
-    let report = with_daemon(DaemonConfig::default(), |addr| {
+/// Ten sequential round trips on one connection: each request is sent
+/// only after the previous reply arrived, so none can share a batch.
+fn sequential_round_trips(cfg: DaemonConfig, total: u32) -> DaemonReport {
+    with_daemon(cfg, |addr| {
         let (mut stream, mut reader) = connect(addr);
-        let mut fastest = Duration::MAX;
         for user in 0..total {
-            let t0 = Instant::now();
             send(&mut stream, &wire::Request::recommend(user as u64, user));
             let resp = recv(&mut reader);
-            fastest = fastest.min(t0.elapsed());
             assert_eq!(resp.error, None);
             assert_eq!(resp.user, user);
         }
-        assert!(
-            fastest < Duration::from_micros(1900),
-            "fastest sequential round trip took {fastest:?}"
-        );
-    });
+    })
+}
+
+#[test]
+fn default_daemon_serves_sequential_requests_without_waiting() {
+    // The default window is zero: a request reaching the idle worker is
+    // scored at once. The coalescer counts why each batch left the queue,
+    // so "never waited" is a count, not a clock: no batch may have been
+    // released by the window expiring.
+    let total = 10u32;
+    let report = sequential_round_trips(DaemonConfig::default(), total);
     assert_eq!(report.requests, total as u64);
     assert_eq!(
         report.batches, total as u64,
         "each sequential request is its own batch"
+    );
+    assert_eq!(
+        report.deadline_flushes, 0,
+        "the default daemon waited out a coalescing window"
+    );
+}
+
+#[test]
+fn a_nonzero_window_makes_a_lone_request_wait_for_the_deadline() {
+    // The sibling of the test above, and the reason its counter means
+    // something: with a 2 ms window a lone request sits in the queue until
+    // the window expires, and the coalescer says so.
+    let total = 4u32;
+    let cfg = DaemonConfig {
+        coalesce: CoalesceConfig {
+            batch_window: Duration::from_millis(2),
+            ..CoalesceConfig::default()
+        },
+        ..DaemonConfig::default()
+    };
+    let report = sequential_round_trips(cfg, total);
+    assert_eq!(report.requests, total as u64);
+    assert!(
+        report.deadline_flushes >= 1,
+        "a 2 ms window released no batch by its deadline: {report:?}"
     );
 }
 

@@ -535,7 +535,10 @@ fn future_protocol_versions_are_refused_typed_by_router_and_daemon() {
             assert!(resp.error.as_deref().unwrap().contains("version"));
             assert_eq!(resp.id, 6, "correlation id still echoed");
         }
-        // A pre-versioning (v absent → 0) request still works.
+        // A pre-versioning (v absent → 0) request still works once the
+        // router has its shard links up (before that it refuses every
+        // recommend request, whatever its version).
+        wait_ready(router);
         let legacy = round_trip(router, &wire::Request::recommend(7, 2));
         assert_eq!(legacy.error, None);
     });
