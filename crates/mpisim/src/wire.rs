@@ -13,9 +13,7 @@ use bytes::Bytes;
 pub fn put_f64s(out: &mut Vec<u8>, values: impl IntoIterator<Item = f64>) {
     let values = values.into_iter();
     out.reserve(values.size_hint().0 * 8);
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    out.extend(values.flat_map(f64::to_le_bytes));
 }
 
 /// Encode an `f64` slice.
