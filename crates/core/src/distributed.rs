@@ -22,7 +22,6 @@
 //! * **Replicated hyperparameter sampling**: sufficient statistics are
 //!   all-reduced (deterministic rank-ordered reduction) and every rank draws
 //!   the identical `(μ, Λ)` from a replicated RNG stream.
-//!
 //! * **Posterior gather**: after the last iteration each rank ships only
 //!   the rows it owns of the posterior means and second moments, averaged
 //!   and encoded in one pass, in a single [`Comm::allgather`]; every rank
@@ -333,8 +332,16 @@ pub fn run_rank(
         .chain(second)
         .flat_map(|(u, v)| {
             [
-                GatherBlock::new(u, &user_parts, pr),
-                GatherBlock::new(v, &movie_parts, pc),
+                GatherBlock {
+                    sums: u,
+                    parts: &user_parts,
+                    perm: pr,
+                },
+                GatherBlock {
+                    sums: v,
+                    parts: &movie_parts,
+                    perm: pc,
+                },
             ]
         })
         .collect();
@@ -376,19 +383,15 @@ struct GatherBlock<'a> {
     perm: Option<&'a Permutation>,
 }
 
-impl<'a> GatherBlock<'a> {
-    fn new(sums: &'a Mat, parts: &'a BlockPartition, perm: Option<&'a Permutation>) -> Self {
-        GatherBlock { sums, parts, perm }
-    }
-}
-
 /// Replicate `blocks` on every rank from their owners' rows.
 ///
 /// Each rank encodes its owned (consecutive) rows of every block, scaled
 /// by `inv`, into one payload; one [`Comm::allgather`] delivers every
-/// rank's payload everywhere, and each received row is decoded straight
-/// into its un-permuted place in the output. Every rank must pass blocks
-/// of the same shapes and partitions, in the same order.
+/// rank's payload everywhere. Each output is then filled in the caller's
+/// row order, every row decoded straight from its owner's payload:
+/// sequential writes into the fresh output, scattered reads from payloads
+/// already in memory. Every rank must pass blocks of the same shapes and
+/// partitions, in the same order.
 fn gather_owned_rows(comm: &mut Comm<'_>, blocks: &[GatherBlock<'_>], inv: f64) -> Vec<FlatMat> {
     let rank = comm.rank();
     let owned = |b: &GatherBlock<'_>, p: usize| {
@@ -402,26 +405,31 @@ fn gather_owned_rows(comm: &mut Comm<'_>, blocks: &[GatherBlock<'_>], inv: f64) 
     }
     let received = comm.allgather(payload);
 
-    let mut out: Vec<FlatMat> = blocks
+    // Byte offset of the current block in each rank's payload.
+    let mut base = vec![0usize; received.len()];
+    let out = blocks
         .iter()
-        .map(|b| FlatMat {
-            rows: b.sums.rows(),
-            cols: b.sums.cols(),
-            data: vec![0.0; b.sums.rows() * b.sums.cols()],
+        .map(|b| {
+            let (rows, k) = (b.sums.rows(), b.sums.cols());
+            let mut data = vec![0.0; rows * k];
+            for (dst, row) in data.chunks_exact_mut(k).enumerate() {
+                let i = b.perm.map_or(dst, |p| p.new_of(dst));
+                let src = b.parts.part_of(i);
+                let at = base[src] + (i - b.parts.range(src).start) * 8 * k;
+                wire::read_f64s(&received[src][at..at + 8 * k], row);
+            }
+            for (src, at) in base.iter_mut().enumerate() {
+                *at += owned(b, src).len() * 8;
+            }
+            FlatMat {
+                rows,
+                cols: k,
+                data,
+            }
         })
         .collect();
-    for (src, bytes) in received.iter().enumerate() {
-        let mut at = 0;
-        for (b, o) in blocks.iter().zip(&mut out) {
-            let k = b.sums.cols();
-            for i in b.parts.range(src) {
-                let dst = b.perm.map_or(i, |p| p.old_of(i));
-                let row = bytes.get(at..at + 8 * k).expect("gather payload too short");
-                wire::read_f64s(row, &mut o.data[dst * k..(dst + 1) * k]);
-                at += 8 * k;
-            }
-        }
-        assert_eq!(at, bytes.len(), "gather payload too long");
+    for (at, bytes) in base.iter().zip(&received) {
+        assert_eq!(*at, bytes.len(), "gather payload length mismatch");
     }
     out
 }
@@ -1214,7 +1222,11 @@ mod tests {
             let blocks: Vec<GatherBlock<'_>> = mats
                 .iter()
                 .zip(&layout)
-                .map(|(m, (_, parts, perm))| GatherBlock::new(m, parts, Some(perm)))
+                .map(|(sums, (_, parts, perm))| GatherBlock {
+                    sums,
+                    parts,
+                    perm: Some(perm),
+                })
                 .collect();
             gather_owned_rows(comm, &blocks, inv)
         });
