@@ -26,6 +26,7 @@ pub fn f64s_to_bytes(data: &[f64]) -> Bytes {
 /// Decode an `f64` payload into `out`, which must hold exactly
 /// `bytes.len() / 8` values.
 pub fn read_f64s(bytes: &[u8], out: &mut [f64]) {
+    assert_eq!(bytes.len() % 8, 0, "payload is not a whole number of f64s");
     assert_eq!(bytes.len(), out.len() * 8, "payload length mismatch");
     for (v, c) in out.iter_mut().zip(bytes.chunks_exact(8)) {
         *v = read_f64(c);
@@ -38,14 +39,6 @@ pub fn read_f64(bytes: &[u8]) -> f64 {
     f64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
-/// Decode an `f64` payload. Panics if the length is not a multiple of 8.
-pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
-    assert_eq!(bytes.len() % 8, 0, "payload is not a whole number of f64s");
-    let mut out = vec![0.0; bytes.len() / 8];
-    read_f64s(bytes, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,12 +47,18 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    fn decode(bytes: &[u8]) -> Vec<f64> {
+        let mut out = vec![0.0; bytes.len() / 8];
+        read_f64s(bytes, &mut out);
+        out
+    }
+
     #[test]
     fn f64_roundtrip() {
         let data = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, 42.42];
         let bytes = f64s_to_bytes(&data);
         assert_eq!(bytes.len(), data.len() * 8);
-        assert_eq!(bytes_to_f64s(&bytes), data);
+        assert_eq!(decode(&bytes), data);
     }
 
     #[test]
@@ -83,7 +82,7 @@ mod tests {
             -f64::from_bits(0x000F_FFFF_FFFF_FFFF), // largest negative subnormal
         ];
         let bytes = f64s_to_bytes(&data);
-        assert_eq!(bits(&bytes_to_f64s(&bytes)), bits(&data));
+        assert_eq!(bits(&decode(&bytes)), bits(&data));
         let mut out = vec![1.0; data.len()];
         read_f64s(&bytes, &mut out);
         assert_eq!(bits(&out), bits(&data));
@@ -100,13 +99,13 @@ mod tests {
     fn put_appends_to_an_existing_buffer() {
         let mut out = f64s_to_bytes(&[2.0]).to_vec();
         put_f64s(&mut out, [3.0, -0.0]);
-        assert_eq!(bits(&bytes_to_f64s(&out)), bits(&[2.0, 3.0, -0.0]));
+        assert_eq!(bits(&decode(&out)), bits(&[2.0, 3.0, -0.0]));
     }
 
     #[test]
     #[should_panic(expected = "whole number")]
     fn ragged_payload_panics() {
-        let _ = bytes_to_f64s(&[1, 2, 3]);
+        read_f64s(&[1, 2, 3], &mut []);
     }
 
     #[test]

@@ -72,7 +72,10 @@ impl Default for WorkModel {
     /// On the chembl-shaped matrix the unrated rows all land in one region
     /// after RCM. Priced like rated rows (the earlier 40 + 1 model), they
     /// left that rank 10–16 % less loop CPU than its peer; these constants
-    /// even the two ranks out.
+    /// even the two ranks out. A linear model still overprices the ratings
+    /// of the heaviest rows, whose blocked kernels run at
+    /// `linalg.syrk_ns_per_rating` ≈ 0.11 µs: the rank that owns the few
+    /// heaviest movies finishes its movie sweep first.
     fn default() -> Self {
         WorkModel {
             fixed_cost: 6.0,
