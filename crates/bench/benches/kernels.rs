@@ -1,10 +1,10 @@
 //! Criterion micro-benchmarks of the dense kernels the sampler is built
-//! from (Cholesky variants, rank-one update, SYRK, dot).
+//! from (Cholesky variants, SYRK, dot).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use bpmf_linalg::{chol_update, cholesky_in_place, cholesky_in_place_parallel, vecops, Mat};
+use bpmf_linalg::{cholesky_in_place, cholesky_in_place_parallel, vecops, Mat};
 
 fn spd(n: usize) -> Mat {
     let b = Mat::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.4);
@@ -38,26 +38,6 @@ fn bench_cholesky(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_rank_one_update(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chol_update");
-    group.sample_size(30);
-    for &n in &[16usize, 32, 64] {
-        let a = spd(n);
-        let mut l = a.clone();
-        cholesky_in_place(&mut l).unwrap();
-        let x: Vec<f64> = (0..n).map(|i| 0.1 * (i as f64).sin()).collect();
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |bench, _| {
-            bench.iter(|| {
-                let mut lc = l.clone();
-                let mut xc = x.clone();
-                chol_update(&mut lc, &mut xc);
-                black_box(lc);
-            })
-        });
-    }
-    group.finish();
-}
-
 fn bench_syrk_and_dot(c: &mut Criterion) {
     let mut group = c.benchmark_group("blas1-2");
     group.sample_size(50);
@@ -78,10 +58,5 @@ fn bench_syrk_and_dot(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_cholesky,
-    bench_rank_one_update,
-    bench_syrk_and_dot
-);
+criterion_group!(benches, bench_cholesky, bench_syrk_and_dot);
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! **Ablation** — the adaptive kernel thresholds (DESIGN.md §7).
 //!
 //! The paper fixes two routing decisions from its Fig. 2 measurements: items
-//! below a small rating count use the rank-one kernel, items above ~1000
+//! below a small rating count use the light kernel, items above ~1000
 //! ratings use the parallel Cholesky kernel. This harness sweeps both
 //! thresholds on a column-skewed ChEMBL-like workload and reports end-to-end
 //! throughput, demonstrating each choice is a real optimum rather than
@@ -64,7 +64,7 @@ fn main() {
     }
     let mut artifact = Vec::new();
 
-    // Sweep 1: parallel threshold with rank-one fixed at default.
+    // Sweep 1: parallel threshold with the light ceiling at its default.
     let mut t1 = Table::new(["parallel threshold", "items/s"]);
     for &threshold in &[64usize, 250, 1000, 4000, usize::MAX] {
         let ips = throughput(&ds, None, threshold);
@@ -82,8 +82,8 @@ fn main() {
     }
     t1.print("Ablation 1 — parallel-Cholesky threshold (paper picks ~1000)");
 
-    // Sweep 2: rank-one ceiling with parallel threshold fixed at 1000.
-    let mut t2 = Table::new(["rank-one max ratings", "items/s"]);
+    // Sweep 2: light-kernel ceiling with parallel threshold fixed at 1000.
+    let mut t2 = Table::new(["light max ratings", "items/s"]);
     for &cap in &[0usize, 4, 8, 16, 32, 64] {
         let ips = throughput(&ds, Some(cap), 1000);
         t2.row([cap.to_string(), format!("{}/s", si(ips))]);
@@ -93,6 +93,6 @@ fn main() {
             items_per_sec: ips,
         });
     }
-    t2.print("Ablation 2 — rank-one kernel ceiling (default: K/2)");
+    t2.print("Ablation 2 — light-kernel ceiling (default: K/8)");
     bpmf_bench::write_json("ablation_threshold", &artifact);
 }

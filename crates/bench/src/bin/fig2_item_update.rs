@@ -1,12 +1,12 @@
 //! **Figure 2** — compute time to update one item vs. its rating count, for
-//! the three kernels: sequential rank-one update, sequential Cholesky,
-//! parallel Cholesky.
+//! the three kernels: the light kernel (an exact low-rank draw in the
+//! prior's whitened coordinates), sequential Cholesky, parallel Cholesky.
 //!
-//! The paper uses this measurement to justify (a) the rank-one kernel for
+//! The paper uses this measurement to justify (a) a separate kernel for
 //! light items, (b) the ≈1000-rating threshold above which the parallel
-//! kernel wins. Expected shape: rank-one cheapest at the far left, serial
-//! Cholesky best in the middle, parallel Cholesky overtaking on the heavy
-//! tail.
+//! kernel wins. Expected shape: the light kernel cheapest at the far left,
+//! serial Cholesky best in the middle, parallel Cholesky overtaking on the
+//! heavy tail.
 //!
 //! Usage: `cargo run -p bpmf-bench --release --bin fig2_item_update`
 //! (K via `BPMF_K`, default 32; threads via `BPMF_KERNEL_THREADS`).
@@ -29,7 +29,7 @@ fn main() {
     ];
     let mut table = Table::new([
         "#ratings",
-        "rank-one",
+        "light",
         "serial chol",
         "parallel chol",
         "fastest",
@@ -40,7 +40,7 @@ fn main() {
     #[derive(serde::Serialize)]
     struct Row {
         ratings: usize,
-        rank_one_s: f64,
+        light_s: f64,
         serial_chol_s: f64,
         parallel_chol_s: f64,
     }
@@ -48,17 +48,17 @@ fn main() {
 
     for &d in &ratings {
         let reps = (20_000 / (d + 10)).clamp(3, 400);
-        let t_r1 = time_item_update(UpdateMethod::RankOne, k, d, reps, 1);
+        let t_light = time_item_update(UpdateMethod::RankOne, k, d, reps, 1);
         let t_ser = time_item_update(UpdateMethod::CholSerial, k, d, reps, 1);
         let t_par = time_item_update(UpdateMethod::CholParallel, k, d, reps, threads);
-        let fastest = if t_r1 <= t_ser && t_r1 <= t_par {
-            "rank-one"
+        let fastest = if t_light <= t_ser && t_light <= t_par {
+            "light"
         } else if t_ser <= t_par {
             "serial chol"
         } else {
             "parallel chol"
         };
-        if fastest != "rank-one" && crossover_serial.is_none() {
+        if fastest != "light" && crossover_serial.is_none() {
             crossover_serial = Some(d);
         }
         if fastest == "parallel chol" && crossover_parallel.is_none() {
@@ -66,14 +66,14 @@ fn main() {
         }
         table.row([
             d.to_string(),
-            dur(t_r1),
+            dur(t_light),
             dur(t_ser),
             dur(t_par),
             fastest.to_string(),
         ]);
         artifact.push(Row {
             ratings: d,
-            rank_one_s: t_r1,
+            light_s: t_light,
             serial_chol_s: t_ser,
             parallel_chol_s: t_par,
         });
@@ -82,7 +82,7 @@ fn main() {
     table.print("Fig. 2 — time to update one item (lower is better)");
     println!();
     println!(
-        "Serial-Cholesky overtakes rank-one near {} ratings (paper: small multiples of K).",
+        "Serial-Cholesky overtakes the light kernel near {} ratings (paper: small multiples of K).",
         crossover_serial.map_or("—".into(), |d| d.to_string())
     );
     println!(

@@ -72,39 +72,41 @@ pub fn time_item_update(
 }
 
 /// Measure the light/mid kernel crossover at latent dimension `k`: the
-/// largest rating count at which the rank-one kernel still beats the
-/// blocked serial Cholesky kernel on this host.
+/// largest rating count at which the light kernel (the whitened low-rank
+/// draw, [`UpdateMethod::RankOne`]) still beats the blocked serial Cholesky
+/// kernel on this host.
 ///
 /// This is how the `rank_one_max` default should be picked on new hardware
 /// (`BpmfConfig::rank_one_max` / `Bpmf::builder().rank_one_max(..)`). The
-/// stock default (1) was measured with this function for K = 16…128 on the
-/// AVX-512 arm, after the factorization and solves went to vector width
-/// (the portable arm measures 2–5, the earlier latency-bound factorization
-/// measured 3–4 at K = 32). The same two sides show up, on a real matrix's
-/// degree distribution, in the layered benchmark's traced pass
+/// stock default `max(K/8, 1)` follows what this function measured on the
+/// AVX-512 arm: 3 at K = 16, 3–5 at K = 32, 12 at K = 64 (on its grid
+/// 1, 2, 3, 5, 8, 12, …). The portable arm, whose `K × K` factorization is
+/// slower, measures 5, 8–12 and 27.
+/// The same two sides show up, on a real matrix's degree distribution, in
+/// the layered benchmark's traced pass
 ///
 /// ```text
 /// cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
 ///     --workload train_chembl --trace 1
 /// ```
 ///
-/// as `update.light_item_us` (one rank-one item) against `linalg.chol_us`
+/// as `update.light_item_us` (one light item) against `linalg.chol_us`
 /// (the factorization a serial item pays instead), with
 /// `update.heavy_ns_per_rating` the serial kernel's per-rating slope.
 pub fn calibrate_rank_one_max(k: usize) -> usize {
-    let mut last_rank_one_win = 0;
+    let mut last_light_win = 0;
     let mut d = 1usize;
     while d <= 2 * k.max(8) {
         let reps = (20_000 / d.max(1)).clamp(20, 2_000);
-        let t_r1 = time_item_update(UpdateMethod::RankOne, k, d, reps, 1);
+        let t_light = time_item_update(UpdateMethod::RankOne, k, d, reps, 1);
         let t_cs = time_item_update(UpdateMethod::CholSerial, k, d, reps, 1);
-        if t_r1 < t_cs {
-            last_rank_one_win = d;
+        if t_light < t_cs {
+            last_light_win = d;
         }
         // ~1.5x steps: dense enough near the crossover, cheap on the tail.
         d = (d * 3).div_ceil(2);
     }
-    last_rank_one_win
+    last_light_win
 }
 
 /// Fit the linear workload model on this host and return a [`ComputeModel`]

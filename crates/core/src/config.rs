@@ -20,8 +20,9 @@ pub struct BpmfConfig {
     /// Ratings count at or above which an item uses the parallel Cholesky
     /// kernel (the paper's ≈1000).
     pub parallel_threshold: usize,
-    /// Ratings count at or below which an item uses the rank-one update
-    /// kernel; `None` selects 1, the measured crossover against the blocked
+    /// Ratings count at or below which an item uses the light kernel (the
+    /// whitened low-rank draw, [`crate::UpdateMethod::RankOne`]); `None`
+    /// selects `max(K/8, 1)`, the measured crossover against the blocked
     /// serial kernel (re-measure on new hardware with
     /// `bpmf_bench::calibrate::calibrate_rank_one_max`; see "Choosing the
     /// thresholds on new hardware" in `update.rs`).
@@ -60,15 +61,15 @@ impl BpmfConfig {
         self.burnin + self.samples
     }
 
-    /// Effective rank-one/serial-Cholesky crossover. The default of 1 was
-    /// measured (`calibrate_rank_one_max`, K = 16…128) after the `K × K`
-    /// stage went to vector width: a blocked factorization now costs about
-    /// as much as one rank-one update, whose column-to-column dependence
-    /// (`√`, reciprocal) does not vectorize, so the rank-one kernel only
-    /// wins for single-rating items. The earlier `K/8` was the crossover
-    /// against the latency-bound scalar factorization.
+    /// Effective light/serial-Cholesky crossover. The default `max(K/8, 1)`
+    /// follows what `calibrate_rank_one_max` measured on the AVX-512 arm (3
+    /// at K = 16, 3–5 at K = 32, 12 at K = 64): the light kernel pays
+    /// two triangular solves, `d` products with `L⁻ᵀ` and a `d × d`
+    /// system, the serial one a `K × K` copy and factorization, so the
+    /// crossover grows with `K`.
     pub fn rank_one_threshold(&self) -> usize {
-        self.rank_one_max.unwrap_or(1)
+        self.rank_one_max
+            .unwrap_or_else(|| (self.num_latent / 8).max(1))
     }
 
     /// Clamp a prediction to the configured rating bounds (identity when
@@ -120,7 +121,13 @@ mod tests {
         let cfg = BpmfConfig::default();
         cfg.validate();
         assert_eq!(cfg.iterations(), cfg.burnin + cfg.samples);
-        assert_eq!(cfg.rank_one_threshold(), 1);
+        for (k, want) in [(4, 1), (16, 2), (32, 4)] {
+            let cfg = BpmfConfig {
+                num_latent: k,
+                ..cfg.clone()
+            };
+            assert_eq!(cfg.rank_one_threshold(), want, "K = {k}");
+        }
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   accumulator (burn-in gate, factor means and second moments, test
 //!   predictions, the per-iteration RMSE pair), and the two sweeping chains
 //!   share one per-item draw;
-//! * the three item-update kernels of the paper's Fig. 2
-//!   ([`UpdateMethod::RankOne`], [`UpdateMethod::CholSerial`],
-//!   [`UpdateMethod::CholParallel`]) plus the adaptive selection rule;
+//! * the three item-update kernels of the paper's Fig. 2 — the light
+//!   kernel ([`UpdateMethod::RankOne`], an exact low-rank draw in the
+//!   prior's whitened coordinates), [`UpdateMethod::CholSerial`] and
+//!   [`UpdateMethod::CholParallel`] — plus the adaptive selection rule;
 //! * multicore execution over any [`bpmf_sched::ItemRunner`] — work-stealing
 //!   (TBB-like), static chunks (OpenMP-like) or the GraphLab-like vertex
 //!   engine ([`EngineKind`]);

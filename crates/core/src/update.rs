@@ -8,13 +8,16 @@
 //! item ~ N(Λ*⁻¹ b, Λ*⁻¹)
 //! ```
 //!
-//! and they differ in how the sums are accumulated and how the Cholesky
-//! factor of `Λ*` is obtained:
+//! and they differ in how that distribution is reached:
 //!
-//! * **rank-one** — start from `chol(Λ)` and fold each rating in with a
-//!   rank-one Cholesky update: `O(d·K²)` with no final `O(K³)` factorization;
-//!   cheapest for items with few ratings (the light-item path — it never
-//!   materializes `Λ*`, so it keeps the per-rating formulation).
+//! * **light** ([`UpdateMethod::RankOne`]) — an exact draw in the prior's
+//!   whitened coordinates (Matheron's rule, equivalently Woodbury): a prior
+//!   draw through the sweep's `chol(Λ)`, corrected by the residuals of `d`
+//!   simulated ratings through a `d × d` system. Two triangular solves, one
+//!   product with the sweep's cached `L⁻ᵀ` per rating and `d²/2` dot
+//!   products, `O(d·K² + d³)`, with no `K × K` copy or factorization:
+//!   cheapest for items with few ratings. An unrated item pays the two
+//!   solves alone.
 //! * **serial Cholesky** — the mid-item workhorse. Counterpart rows are
 //!   *gathered* into a contiguous `d × K` panel, [`bpmf_linalg::PANEL_BLOCK`]
 //!   rows at a time, and folded in as one rank-d update
@@ -34,26 +37,28 @@
 //! # Choosing the thresholds on new hardware
 //!
 //! `rank_one_max` (the light/mid crossover) and `parallel_threshold` (the
-//! mid/heavy crossover) are machine-dependent. The defaults (1, 1000) were
-//! measured; to re-pick them on new hardware run the layered benchmark's
-//! traced pass on the ChEMBL-shaped workload, whose rows span all three
-//! kernels:
+//! mid/heavy crossover) are machine-dependent. The defaults (`max(K/8, 1)`,
+//! 1000) were measured; to re-pick them on new hardware run the layered
+//! benchmark's traced pass on the ChEMBL-shaped workload, whose rows span
+//! all three kernels:
 //!
 //! ```text
 //! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
 //!     --workload train_chembl --trace 1
 //! ```
 //!
-//! * `update.light_item_us` is one rank-one item (≈ `d` rank-one updates
-//!   plus the solves) and `linalg.chol_us` the `K × K` factorization a
-//!   serial item pays instead: rank-one is worth keeping up to the `d` at
-//!   which `d` updates cost more than one factorization.
+//! * `update.light_item_us` is one light item (two triangular solves, `d`
+//!   products with `L⁻ᵀ` and a `d × d` system) and `linalg.chol_us` the
+//!   `K × K` factorization a serial item pays instead: the light kernel is
+//!   worth keeping up to the `d` at which its per-rating products and
+//!   `d × d` system cost more than the serial kernel's copy and
+//!   factorization.
 //!   `bpmf_bench::calibrate::calibrate_rank_one_max(K)` runs exactly that
-//!   search on synthetic rows and returns the value for `rank_one_max`. It
-//!   measured 1 for K = 16…128 on the AVX-512 arm: with the factorization at
-//!   vector width, one rank-one update — whose column-to-column `√` /
-//!   reciprocal dependence does not vectorize — costs about as much as
-//!   factoring from scratch.
+//!   search on synthetic rows (over `d` = 1, 2, 3, 5, 8, 12, …) and returns
+//!   the value for `rank_one_max`. On the AVX-512 arm it measured 3 at
+//!   K = 16, 3–5 at K = 32 and 12 at K = 64; `K/8` sits at or one step
+//!   below that. The portable arm, whose factorization is slower, measured
+//!   5, 8–12 and 27.
 //! * `update.heavy_ns_per_rating` against `update.par_ns_per_rating` is the
 //!   serial kernel's per-rating cost against the parallel one's: raise
 //!   `parallel_threshold` until CholParallel actually beats CholSerial at
@@ -75,7 +80,9 @@ use crate::store::RatingStore;
 /// Which factorization strategy an item update uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum UpdateMethod {
-    /// Incremental rank-one Cholesky updates of the prior factor.
+    /// The light kernel: an exact low-rank draw in the prior's whitened
+    /// coordinates (see the module doc). The name is kept because the
+    /// layered benchmark's probes select and label the light path by it.
     RankOne,
     /// SYRK accumulation + one serial Cholesky factorization.
     CholSerial,
@@ -83,7 +90,7 @@ pub enum UpdateMethod {
     CholParallel,
 }
 
-/// The paper's adaptive rule: rank-one for the lightest items, parallel
+/// The paper's adaptive rule: the light kernel for the lightest items, parallel
 /// Cholesky for items with at least `parallel_threshold` ratings (≈1000 in
 /// the paper), serial Cholesky in between.
 #[inline]
@@ -102,8 +109,9 @@ pub fn choose_method(
 }
 
 /// Reusable per-worker buffers: one item update allocates nothing (the
-/// gather panel and the parallel path's partial accumulators grow on first
-/// use and are reused across items and sweeps).
+/// gather panel, the light arm's noise and `d × d` system, and the parallel
+/// path's partial accumulators grow on first use and are reused across
+/// items and sweeps).
 #[derive(Clone, Debug)]
 pub struct UpdateScratch {
     prec: Mat,
@@ -114,6 +122,8 @@ pub struct UpdateScratch {
     panel: Vec<f64>,
     /// One weight `α (r − m)` per gathered row.
     weights: Vec<f64>,
+    /// The light arm's `d × d` system.
+    gram: Vec<f64>,
     /// Per-chunk accumulators for the parallel path.
     partials: Vec<Partial>,
 }
@@ -148,6 +158,7 @@ impl UpdateScratch {
             vec_k: vec![0.0; k],
             panel: Vec::new(),
             weights: Vec::new(),
+            gram: Vec::new(),
             partials: Vec::new(),
         }
     }
@@ -160,7 +171,9 @@ pub struct SidePrior<'a> {
     pub lambda: &'a Mat,
     /// Precomputed `Λμ`.
     pub lambda_mu: &'a [f64],
-    /// Cholesky factor of `Λ` (starting point of the rank-one kernel).
+    /// Cholesky factor of `Λ`, computed once per sweep: the light kernel
+    /// draws in the coordinates it whitens, through `L` and its cached
+    /// `L⁻ᵀ` ([`Cholesky::l_inv_t`]).
     pub chol_lambda: &'a Cholesky,
     /// Rating-noise precision α.
     pub alpha: f64,
@@ -328,23 +341,16 @@ pub fn update_item(
     debug_assert_eq!(cols.len(), vals.len());
 
     match method {
+        UpdateMethod::RankOne => {
+            // K normals for the prior draw, then one per rating.
+            scratch.noise.resize(k + cols.len(), 0.0);
+            fill_standard_normal(rng, &mut scratch.noise);
+            light_draw(prior, offset, cols, vals, other, scratch, out);
+            return;
+        }
         UpdateMethod::CholSerial => {
             accumulate_serial(prior, offset, cols, vals, other, scratch);
             cholesky_in_place(&mut scratch.prec).expect("item precision must be SPD");
-        }
-        UpdateMethod::RankOne => {
-            // Start from the prior factor; fold in √α·v per rating.
-            scratch.prec.copy_from(prior.chol_lambda.l());
-            seed_rhs(prior, offset, scratch);
-            let sqrt_alpha = prior.alpha.sqrt();
-            for (&j, &r) in cols.iter().zip(vals) {
-                let v = other.row(j as usize);
-                for (s, &vi) in scratch.vec_k.iter_mut().zip(v) {
-                    *s = sqrt_alpha * vi;
-                }
-                bpmf_linalg::chol_update(&mut scratch.prec, &mut scratch.vec_k);
-                vecops::axpy(prior.alpha * (r - prior.mean_offset), v, &mut scratch.rhs);
-            }
         }
         UpdateMethod::CholParallel => {
             accumulate_parallel(prior, offset, cols, vals, other, scratch, kernel_threads);
@@ -357,11 +363,112 @@ pub fn update_item(
     // precision-shaped noise, Λ*⁻¹ b + L⁻ᵀ z = L⁻ᵀ (L⁻¹ b + z): one forward
     // and one transposed solve.
     solve_lower(&scratch.prec, &mut scratch.rhs);
-    fill_standard_normal(rng, &mut scratch.noise);
-    for ((o, &y), &z) in out.iter_mut().zip(&scratch.rhs).zip(&scratch.noise) {
+    let z = &mut scratch.noise[..k];
+    fill_standard_normal(rng, z);
+    for ((o, &y), &z) in out.iter_mut().zip(&scratch.rhs).zip(&*z) {
         *o = y + z;
     }
     solve_lower_transpose(&scratch.prec, out);
+}
+
+/// The light arm's draw as a function of its standard normals
+/// `scratch.noise[..K + d]` (`z`, then one `ε` per rating); all zeros give
+/// the posterior mean.
+///
+/// Matheron's rule in the prior's whitened coordinates `y = Lᵀx`, where
+/// `L Lᵀ = Λ`: the prior is `y ~ N(c₀, I)` with `c₀ = L⁻¹b₀`, and rating
+/// `j` observes `u_jᵀy` with `u_j = L⁻¹v_j` under noise of variance `α⁻¹`.
+/// A prior draw `c = c₀ + z`, corrected by the residuals of simulated
+/// ratings, is an exact posterior draw:
+///
+/// ```text
+/// e = (r − m) − Uᵀc − ε/√α
+/// y = c + U (UᵀU + α⁻¹I)⁻¹ e,    x = L⁻ᵀy
+/// ```
+///
+/// Two triangular solves against the sweep's `chol(Λ)`, one vectorized
+/// product with its cached `L⁻ᵀ` per rating (`u_j`), `d²/2` dot products
+/// and a `d × d` factorization; no `K × K` matrix is factored. With no
+/// ratings this is the serial kernel's arithmetic on `L`, bit for bit.
+fn light_draw(
+    prior: &SidePrior<'_>,
+    offset: Option<&[f64]>,
+    cols: &[u32],
+    vals: &[f64],
+    other: &Mat,
+    scratch: &mut UpdateScratch,
+    out: &mut [f64],
+) {
+    let k = out.len();
+    let d = cols.len();
+    let l = prior.chol_lambda.l();
+    let l_inv_t = prior.chol_lambda.l_inv_t();
+    seed_rhs(prior, offset, scratch);
+    let UpdateScratch {
+        rhs: c,
+        noise,
+        panel: u,
+        weights: e,
+        gram,
+        ..
+    } = scratch;
+    let (z, eps) = noise[..k + d].split_at(k);
+    solve_lower(l, c);
+    for (ci, &zi) in c.iter_mut().zip(z) {
+        *ci += zi;
+    }
+    u.clear();
+    e.clear();
+    let noise_sd = prior.alpha.sqrt().recip();
+    for ((&j, &r), &ej) in cols.iter().zip(vals).zip(eps) {
+        let at = u.len();
+        u.resize(at + k, 0.0);
+        let uj = &mut u[at..];
+        l_inv_t.matvec_t_into(other.row(j as usize), uj);
+        e.push(r - prior.mean_offset - vecops::dot(uj, c) - noise_sd * ej);
+    }
+    gram.clear();
+    gram.resize(d * d, 0.0);
+    for (a, ua) in u.chunks_exact(k).enumerate() {
+        for (b, ub) in u.chunks_exact(k).enumerate().take(a + 1) {
+            gram[a * d + b] = vecops::dot(ua, ub);
+        }
+        gram[a * d + a] += prior.alpha.recip();
+    }
+    solve_small_spd(gram, d, e);
+    for (uj, &sj) in u.chunks_exact(k).zip(e.iter()) {
+        vecops::axpy(sj, uj, c);
+    }
+    out.copy_from_slice(c);
+    solve_lower_transpose(l, out);
+}
+
+/// Solve `A x = b` in place for a small SPD `A` of order `d` (row-major;
+/// only the lower triangle is read, and it is overwritten by the Cholesky
+/// factor). Scalar loops: the light arm's systems have a handful of rows.
+fn solve_small_spd(a: &mut [f64], d: usize, b: &mut [f64]) {
+    for j in 0..d {
+        let (done, rest) = a.split_at_mut(j * d);
+        let row_j = &mut rest[..d];
+        for i in 0..j {
+            let s = row_j[i] - vecops::dot(&row_j[..i], &done[i * d..i * d + i]);
+            row_j[i] = s / done[i * d + i];
+        }
+        let pivot = row_j[j] - vecops::dot(&row_j[..j], &row_j[..j]);
+        assert!(pivot > 0.0, "light-item system must be SPD");
+        row_j[j] = pivot.sqrt();
+    }
+    for i in 0..d {
+        let row = &a[i * d..i * d + i + 1];
+        b[i] = (b[i] - vecops::dot(&row[..i], &b[..i])) / row[i];
+    }
+    for i in (0..d).rev() {
+        let mut s = b[i];
+        for t in i + 1..d {
+            s -= a[t * d + i] * b[t];
+        }
+        b[i] = s / a[i * d + i];
+    }
 }
 
 /// Deterministic one-row fold-in: the conditional posterior **mean** for a
@@ -393,7 +500,7 @@ pub fn fold_in_mean(
 
 /// Seed the information vector: `b = Λμ`, plus `Λ·offset` when this item's
 /// prior mean is shifted by side information. `vec_k` is free at this point
-/// in every kernel (the rank-one loop overwrites it afterwards).
+/// in every kernel.
 fn seed_rhs(prior: &SidePrior<'_>, offset: Option<&[f64]>, scratch: &mut UpdateScratch) {
     scratch.rhs.copy_from_slice(prior.lambda_mu);
     if let Some(g) = offset {
@@ -572,10 +679,36 @@ mod tests {
         (lambda, lambda_mu, chol, other, cols, vals)
     }
 
-    /// All three kernels must produce draws from the same distribution.
-    /// With the same RNG stream and the same posterior Cholesky factor they
-    /// would be bit-identical; rank-one builds the factor differently, so we
-    /// compare the implied posterior mean (deterministic part) instead.
+    /// The light arm's draw for the given standard normals (`z`, then one
+    /// `ε` per rating).
+    fn light_with_noise(
+        prior: &SidePrior<'_>,
+        offset: Option<&[f64]>,
+        (cols, vals): (&[u32], &[f64]),
+        other: &Mat,
+        noise: &[f64],
+    ) -> Vec<f64> {
+        let k = prior.lambda.rows();
+        let mut scratch = UpdateScratch::new(k);
+        scratch.noise = noise.to_vec();
+        let mut out = vec![0.0; k];
+        light_draw(prior, offset, cols, vals, other, &mut scratch, &mut out);
+        out
+    }
+
+    /// A non-diagonal, well-conditioned prior precision `B Bᵀ + 0.8 I`.
+    fn dense_prior(k: usize, rng: &mut Xoshiro256pp) -> Mat {
+        let b = Mat::from_fn(k, k, |_, _| bpmf_stats::normal(rng, 0.0, 0.6));
+        let mut lambda = b.matmul_transb(&b);
+        for i in 0..k {
+            lambda[(i, i)] += 0.8;
+        }
+        lambda
+    }
+
+    /// All three kernels must produce draws from the same distribution. The
+    /// light arm's noise-free draw is the posterior mean, which the serial
+    /// and parallel kernels reach by factoring `Λ*`: all three must agree.
     #[test]
     fn kernels_agree_on_posterior_mean() {
         for &(k, d) in &[
@@ -596,43 +729,22 @@ mod tests {
                 alpha: 2.0,
                 mean_offset: 3.0,
             };
-            let mut means = Vec::new();
-            for method in [
-                UpdateMethod::RankOne,
-                UpdateMethod::CholSerial,
-                UpdateMethod::CholParallel,
-            ] {
+            let zeros = vec![0.0; k + d];
+            let mut means = vec![light_with_noise(
+                &prior,
+                None,
+                (&cols, &vals),
+                &other,
+                &zeros,
+            )];
+            for parallel in [false, true] {
                 let mut scratch = UpdateScratch::new(k);
-                // Zero noise: run the deterministic part only by solving
-                // with a fresh rng and subtracting the noise afterwards is
-                // fragile; instead exploit that the mean is
-                // scratch.rhs after the solves. We reproduce it here.
-                match method {
-                    UpdateMethod::CholSerial => {
-                        accumulate_serial(&prior, None, &cols, &vals, &other, &mut scratch);
-                        cholesky_in_place(&mut scratch.prec).unwrap();
-                    }
-                    UpdateMethod::RankOne => {
-                        scratch.prec.copy_from(prior.chol_lambda.l());
-                        scratch.rhs.copy_from_slice(prior.lambda_mu);
-                        let sa = prior.alpha.sqrt();
-                        for (&j, &r) in cols.iter().zip(&vals) {
-                            let v = other.row(j as usize);
-                            for (s, &vi) in scratch.vec_k.iter_mut().zip(v) {
-                                *s = sa * vi;
-                            }
-                            bpmf_linalg::chol_update(&mut scratch.prec, &mut scratch.vec_k);
-                            vecops::axpy(
-                                prior.alpha * (r - prior.mean_offset),
-                                v,
-                                &mut scratch.rhs,
-                            );
-                        }
-                    }
-                    UpdateMethod::CholParallel => {
-                        accumulate_parallel(&prior, None, &cols, &vals, &other, &mut scratch, 3);
-                        cholesky_in_place_parallel(&mut scratch.prec, 3, 8).unwrap();
-                    }
+                if parallel {
+                    accumulate_parallel(&prior, None, &cols, &vals, &other, &mut scratch, 3);
+                    cholesky_in_place_parallel(&mut scratch.prec, 3, 8).unwrap();
+                } else {
+                    accumulate_serial(&prior, None, &cols, &vals, &other, &mut scratch);
+                    cholesky_in_place(&mut scratch.prec).unwrap();
                 }
                 solve_lower(&scratch.prec, &mut scratch.rhs);
                 solve_lower_transpose(&scratch.prec, &mut scratch.rhs);
@@ -643,6 +755,131 @@ mod tests {
                     assert!((a - b).abs() < 1e-8, "k={k} d={d}: {a} vs {b}");
                 }
             }
+        }
+    }
+
+    /// The light arm is affine in its `K + d` normals, so its mean is the
+    /// draw at zero noise and its covariance is `A Aᵀ`, with column `i` of
+    /// `A` the draw at unit vector `i` minus the mean. Both must match the
+    /// dense posterior `N(Λ*⁻¹ b, Λ*⁻¹)`: non-diagonal `Λ`, with and
+    /// without a side-information offset, fewer and more ratings than `K`,
+    /// weak and near-noiseless ratings.
+    #[test]
+    fn light_draw_matches_dense_posterior_moments() {
+        let k = 10;
+        let mut rng = Xoshiro256pp::seed_from_u64(31);
+        let lambda = dense_prior(k, &mut rng);
+        let mu: Vec<f64> = (0..k).map(|i| 0.3 * (i as f64).cos()).collect();
+        let lambda_mu = lambda.matvec(&mu);
+        let chol = Cholesky::factor(&lambda).unwrap();
+        let shift: Vec<f64> = (0..k).map(|i| 0.2 * (i as f64 * 1.3).sin()).collect();
+        for d in [1usize, 2, 4, k + 3] {
+            let other = Mat::from_fn(d + 3, k, |_, _| bpmf_stats::normal(&mut rng, 0.0, 0.5));
+            let cols: Vec<u32> = (0..d as u32).map(|j| j + 1).collect();
+            let vals: Vec<f64> = (0..d).map(|j| 3.0 + (j as f64 * 0.9).sin()).collect();
+            for alpha in [2.0, 1e4] {
+                for offset in [None, Some(&shift[..])] {
+                    let prior = SidePrior {
+                        lambda: &lambda,
+                        lambda_mu: &lambda_mu,
+                        chol_lambda: &chol,
+                        alpha,
+                        mean_offset: 3.0,
+                    };
+
+                    // Reference: Λ* and b by plain loops, dense factor.
+                    let mut prec = lambda.clone();
+                    let prior_mean: Vec<f64> = match offset {
+                        Some(g) => mu.iter().zip(g).map(|(m, g)| m + g).collect(),
+                        None => mu.clone(),
+                    };
+                    let mut want_mean = lambda.matvec(&prior_mean);
+                    for (&j, &r) in cols.iter().zip(&vals) {
+                        let v = other.row(j as usize);
+                        for (row, &vi) in v.iter().enumerate() {
+                            for (col, &vj) in v.iter().enumerate() {
+                                prec[(row, col)] += alpha * vi * vj;
+                            }
+                        }
+                        vecops::axpy(alpha * (r - 3.0), v, &mut want_mean);
+                    }
+                    let post = Cholesky::factor(&prec).unwrap();
+                    post.solve_in_place(&mut want_mean);
+                    let want_cov = post.inverse();
+
+                    let n = k + d;
+                    let draw = |noise: &[f64]| {
+                        light_with_noise(&prior, offset, (&cols, &vals), &other, noise)
+                    };
+                    let mean = draw(&vec![0.0; n]);
+                    let mut cov = Mat::zeros(k, k);
+                    for i in 0..n {
+                        let mut unit = vec![0.0; n];
+                        unit[i] = 1.0;
+                        let col: Vec<f64> =
+                            draw(&unit).iter().zip(&mean).map(|(x, m)| x - m).collect();
+                        cov.syrk_lower(1.0, &col);
+                    }
+                    cov.symmetrize_from_lower();
+
+                    let at = format!("d={d} alpha={alpha} offset={}", offset.is_some());
+                    for (g, w) in mean.iter().zip(&want_mean) {
+                        assert!((g - w).abs() <= 1e-9 * (1.0 + w.abs()), "{at}: {g} vs {w}");
+                    }
+                    let scale = want_cov
+                        .as_slice()
+                        .iter()
+                        .fold(0.0f64, |m, v| m.max(v.abs()));
+                    let diff = cov.max_abs_diff(&want_cov);
+                    assert!(diff <= 1e-9 * scale, "{at}: covariance off by {diff:e}");
+                }
+            }
+        }
+    }
+
+    /// An unrated light item is the prior draw `L⁻ᵀ(L⁻¹Λμ + z)`, bit for
+    /// bit, and consumes exactly the `K` normals of `z`.
+    #[test]
+    fn unrated_light_item_is_the_prior_draw_bit_for_bit() {
+        let k = 11;
+        let mut rng = Xoshiro256pp::seed_from_u64(5);
+        let lambda = dense_prior(k, &mut rng);
+        let mu: Vec<f64> = (0..k).map(|i| 0.1 * i as f64 - 0.4).collect();
+        let lambda_mu = lambda.matvec(&mu);
+        let chol = Cholesky::factor(&lambda).unwrap();
+        let prior = SidePrior {
+            lambda: &lambda,
+            lambda_mu: &lambda_mu,
+            chol_lambda: &chol,
+            alpha: 2.0,
+            mean_offset: 3.0,
+        };
+        let other = Mat::zeros(1, k);
+        let mut scratch = UpdateScratch::new(k);
+        let mut out = vec![0.0; k];
+        let (mut ours, mut hand) = (rng.clone(), rng.clone());
+        for _ in 0..3 {
+            update_item(
+                UpdateMethod::RankOne,
+                &prior,
+                (&[], &[]),
+                &other,
+                None,
+                &mut ours,
+                &mut scratch,
+                &mut out,
+                1,
+            );
+            let mut want = lambda_mu.clone();
+            solve_lower(chol.l(), &mut want);
+            let mut z = vec![0.0; k];
+            fill_standard_normal(&mut hand, &mut z);
+            for (w, z) in want.iter_mut().zip(&z) {
+                *w += z;
+            }
+            solve_lower_transpose(chol.l(), &mut want);
+            assert_eq!(out, want);
+            assert_eq!(ours.snapshot(), hand.snapshot());
         }
     }
 
@@ -713,8 +950,9 @@ mod tests {
 
     #[test]
     fn rank_one_kernel_samples_same_distribution() {
-        // Same empirical-mean check for the rank-one path (catches sign or
-        // scaling slips in the incremental factor).
+        // Same empirical-moment check for the light path through
+        // `update_item` (catches slips in how it draws and splits its
+        // K + d normals).
         let k = 4;
         let (lambda, lambda_mu, chol, other, cols, vals) = fixture(k, 3, 21);
         let prior = SidePrior {
@@ -731,10 +969,12 @@ mod tests {
         let post = Cholesky::factor(&prec_full).unwrap();
         let mut want_mean = scratch.rhs.clone();
         post.solve_in_place(&mut want_mean);
+        let want_cov = post.inverse();
 
         let mut rng = Xoshiro256pp::seed_from_u64(1234);
         let n = 40_000;
         let mut acc = vec![0.0; k];
+        let mut sq = Mat::zeros(k, k);
         let mut out = vec![0.0; k];
         for _ in 0..n {
             update_item(
@@ -751,9 +991,20 @@ mod tests {
             for (a, &o) in acc.iter_mut().zip(&out) {
                 *a += o / n as f64;
             }
+            sq.syrk_lower(1.0 / n as f64, &out);
         }
         for (got, want) in acc.iter().zip(&want_mean) {
             assert!((got - want).abs() < 0.03, "mean: {got} vs {want}");
+        }
+        for i in 0..k {
+            for j in 0..=i {
+                let emp_cov = sq[(i, j)] - acc[i] * acc[j];
+                let want = want_cov[(i, j)];
+                assert!(
+                    (emp_cov - want).abs() < 0.02,
+                    "cov[{i}{j}]: {emp_cov} vs {want}"
+                );
+            }
         }
     }
 

@@ -29,6 +29,8 @@
 //! All three steps run on the arm [`crate::simd::simd_level`] selects (see
 //! [`crate::arm`]).
 
+use std::sync::OnceLock;
+
 use crate::arm::{dispatch, Arm, LANES};
 use crate::error::LinalgError;
 use crate::mat::Mat;
@@ -188,6 +190,9 @@ unsafe fn inverse_transposed<A: Arm>(l: &Block, inv_diag: &[f64; LANES]) -> Bloc
 #[derive(Clone, Debug)]
 pub struct Cholesky {
     l: Mat,
+    /// `L⁻ᵀ`, built on first use by [`Cholesky::l_inv_t`]; `l` never
+    /// changes after construction, so it stays valid.
+    l_inv_t: OnceLock<Mat>,
 }
 
 impl Cholesky {
@@ -195,32 +200,46 @@ impl Cholesky {
     pub fn factor(a: &Mat) -> Result<Self, LinalgError> {
         let mut l = a.clone();
         cholesky_in_place(&mut l)?;
-        Ok(Cholesky { l })
+        Ok(Self::from_lower_unchecked(l))
     }
 
     /// Factor `a` in place, consuming it.
     pub fn factor_in_place(mut a: Mat) -> Result<Self, LinalgError> {
         cholesky_in_place(&mut a)?;
-        Ok(Cholesky { l: a })
+        Ok(Self::from_lower_unchecked(a))
     }
 
     /// Wrap an existing lower factor without checking it.
     ///
-    /// The caller promises `l` is lower triangular with positive diagonal;
-    /// used by the rank-one update path which maintains a factor
-    /// incrementally.
+    /// The caller promises `l` is lower triangular with positive diagonal,
+    /// e.g. the output of [`crate::cholesky_in_place_parallel`].
     pub fn from_lower_unchecked(l: Mat) -> Self {
-        Cholesky { l }
+        Cholesky {
+            l,
+            l_inv_t: OnceLock::new(),
+        }
+    }
+
+    /// `L⁻ᵀ`, computed on the first call (`n` forward solves) and kept. Row
+    /// `i` is column `i` of `L⁻¹`, so `l_inv_t().matvec_t_into(v, u)` forms
+    /// `u = L⁻¹v` in one vectorized pass instead of a forward solve, whose
+    /// unknowns wait on each other.
+    pub fn l_inv_t(&self) -> &Mat {
+        self.l_inv_t.get_or_init(|| {
+            let n = self.dim();
+            let mut m = Mat::zeros(n, n);
+            for i in 0..n {
+                let row = m.row_mut(i);
+                row[i] = 1.0;
+                solve_lower(&self.l, row);
+            }
+            m
+        })
     }
 
     /// The lower factor `L`.
     pub fn l(&self) -> &Mat {
         &self.l
-    }
-
-    /// Mutable access to the factor (for in-place rank-one updates).
-    pub fn l_mut(&mut self) -> &mut Mat {
-        &mut self.l
     }
 
     /// Order of the factored matrix.

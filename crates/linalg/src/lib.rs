@@ -14,8 +14,6 @@
 //!   tile,
 //! * a blocked, multi-threaded Cholesky ([`cholesky_in_place_parallel`]) used
 //!   for items with very many ratings (paper, Fig. 2),
-//! * rank-one Cholesky update/downdate ([`chol_update`], [`chol_downdate`])
-//!   used by the cheap per-rating update kernel,
 //! * blocked panel kernels ([`syrk_ld_lower`], [`gemv_t_acc`]) that fold a
 //!   gathered `d × K` panel of counterpart rows into the item precision and
 //!   information vector as one rank-d update (the mid/heavy item hot path),
@@ -55,7 +53,6 @@
 mod arm;
 mod chol;
 mod chol_par;
-mod cholupdate;
 mod error;
 pub mod gemm;
 mod mat;
@@ -70,7 +67,6 @@ pub mod vecops;
 pub use chol::cholesky_in_place;
 pub use chol::Cholesky;
 pub use chol_par::{cholesky_in_place_parallel, DEFAULT_BLOCK};
-pub use cholupdate::{chol_downdate, chol_update};
 pub use error::LinalgError;
 pub use gemm::{
     gemm_gathered_rows_packed, gemm_into, gemm_into_scalar, gemm_packed_into, PackedB, GEMM_KC,

@@ -63,11 +63,16 @@ impl Default for WorkModel {
     ///
     /// * a row with no ratings costs one prior draw, `stats.mvn_draw_ns`
     ///   ≈ 0.8–1.1 µs, plus its share of the sweep loop: **2.5**;
-    /// * a one-rating row, `update.light_item_us` ≈ 3.3–4.5 µs, costs
-    ///   **6 + 1** — about three empty rows;
-    /// * each further rating adds **1**. `update.heavy_ns_per_rating`
-    ///   ≈ 0.85 µs is an upper bound on that slope, since it spreads every
-    ///   heavy row's factorization and draw over its ratings.
+    /// * a rated row costs **3** plus **1** per rating. Most rated rows are
+    ///   light (at most `K/8` ratings, 1.9 on average on the chembl-shaped
+    ///   matrix) and skip the `K × K` factorization: `update.light_item_us`
+    ///   ≈ 1.3–2.5 µs, about five units. Summing `update_item`'s measured
+    ///   cost per rating count over each rank's RCM region, a fixed cost
+    ///   of 3 splits the compound sweep within 2 %; the 6 that priced every
+    ///   rated row as a factorization left one rank 8 % more work;
+    /// * `update.heavy_ns_per_rating` ≈ 0.2–0.4 µs is an upper bound on the
+    ///   per-rating slope, since it spreads every serial row's
+    ///   factorization and draw over its ratings.
     ///
     /// On the chembl-shaped matrix the unrated rows all land in one region
     /// after RCM. Priced like rated rows (the earlier 40 + 1 model), they
@@ -78,7 +83,7 @@ impl Default for WorkModel {
     /// heaviest movies finishes its movie sweep first.
     fn default() -> Self {
         WorkModel {
-            fixed_cost: 6.0,
+            fixed_cost: 3.0,
             empty_cost: 2.5,
             cost_per_rating: 1.0,
         }
@@ -360,18 +365,18 @@ mod tests {
         assert!(wm.weight(0) > 0.0, "an unrated row still costs a draw");
         assert!(wm.weight(0) < wm.weight(1));
         assert!(wm.weight(1) < wm.weight(2));
-        // Four one-rating rows, then eight unrated ones: the region of
-        // unrated rows holds twice as many of them, where pricing every row
-        // alike would split the count evenly.
-        let mut coo = Coo::new(12, 2);
-        for i in 0..4 {
+        // Five one-rating rows, then eight unrated ones of the same total
+        // weight: the region of unrated rows holds more of them, where
+        // pricing every row alike would split the count evenly.
+        let mut coo = Coo::new(13, 2);
+        for i in 0..5 {
             coo.push(i, i % 2, 1.0);
         }
         let m = Csr::from_coo(&coo);
         let weights = wm.row_weights(&m);
-        assert_eq!(weights[11], wm.empty_cost);
+        assert_eq!(weights[12], wm.empty_cost);
         let p = BlockPartition::weighted(&weights, 2);
-        assert_eq!(p.ranges(), &[0..4, 4..12]);
+        assert_eq!(p.ranges(), &[0..5, 5..13]);
     }
 
     fn cross_matrix() -> Csr {

@@ -49,7 +49,7 @@ fn main() {
     println!(
         "  heaviest target uses the {} kernel\n",
         match method {
-            UpdateMethod::RankOne => "rank-one",
+            UpdateMethod::RankOne => "light (whitened low-rank)",
             UpdateMethod::CholSerial => "serial-Cholesky",
             UpdateMethod::CholParallel => "parallel-Cholesky",
         }
