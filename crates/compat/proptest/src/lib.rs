@@ -247,7 +247,7 @@ tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5);
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: a fixed length or a range.
+    /// Length specification for [`vec()`]: a fixed length or a range.
     pub trait VecLen {
         /// Draw a concrete length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
@@ -271,7 +271,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,

@@ -35,7 +35,7 @@
 use std::time::Instant;
 
 use bpmf_linalg::Mat;
-use bpmf_mpisim::{wire, Comm, Tag, Universe, WindowHandle};
+use bpmf_mpisim::{wire, Comm, Tag, Universe};
 use bpmf_sched::{ItemRunner, WorkStealingPool};
 use bpmf_sparse::{rcm_bipartite, BlockPartition, CommPlan, Coo, Csr, Permutation, WorkModel};
 use bpmf_stats::{SuffStats, Xoshiro256pp};
@@ -58,16 +58,15 @@ const TAG_USER_ITEMS: Tag = 1;
 const TAG_MOVIE_ITEMS: Tag = 2;
 
 /// How updated items travel between ranks.
+///
+/// Two-sided buffered messages are the only mechanism: the paper's
+/// published design (§IV-C). The type has a single variant and stays only
+/// because the layered benchmark names it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExchangeMode {
-    /// Two-sided buffered sends over tagged messages (§IV-C, the paper's
-    /// published design).
+    /// Two-sided buffered sends over tagged messages (§IV-C).
     #[default]
     TwoSided,
-    /// GASPI-style one-sided puts with notifications (§VI's future work):
-    /// each finished row is written directly into every consumer's window —
-    /// no envelopes, no matching, no send buffer.
-    OneSided,
 }
 
 /// Distributed-run configuration.
@@ -87,7 +86,8 @@ pub struct DistConfig {
     /// work-stolen batches while the rank's main thread keeps all
     /// communication funneled (`MPI_THREAD_FUNNELED` discipline).
     pub threads_per_rank: usize,
-    /// Item exchange mechanism (two-sided messages vs one-sided windows).
+    /// Item exchange mechanism. Two-sided messages are the only one; the
+    /// field stays only because the layered benchmark sets it.
     pub exchange: ExchangeMode,
 }
 
@@ -255,15 +255,6 @@ pub fn run_rank(
     )
     .owning(user_parts.range(rank), movie_parts.range(rank));
 
-    // One-sided mode: one notified window per side, sized for the full
-    // factor matrix — an owner writes a finished row directly into every
-    // consumer's window (collective creation, so outside the timed loop).
-    let windows = (cfg.exchange == ExchangeMode::OneSided).then(|| {
-        let movie_win = comm.window_create(r.ncols() * k);
-        let user_win = comm.window_create(r.nrows() * k);
-        (user_win, movie_win)
-    });
-
     let iterations = cfg.base.iterations();
     let mut rmse_sample_trace = Vec::with_capacity(iterations);
     let mut rmse_mean_trace = Vec::with_capacity(iterations);
@@ -285,7 +276,6 @@ pub fn run_rank(
             &movie_parts,
             cfg,
             TAG_MOVIE_ITEMS,
-            windows.map(|(_, m)| m),
         );
 
         // -------- user phase ----------------------------------------------
@@ -300,7 +290,6 @@ pub fn run_rank(
             &user_parts,
             cfg,
             TAG_USER_ITEMS,
-            windows.map(|(u, _)| u),
         );
 
         // -------- evaluation ----------------------------------------------
@@ -525,24 +514,16 @@ fn sweep_side(
     parts: &BlockPartition,
     cfg: &DistConfig,
     tag: Tag,
-    window: Option<WindowHandle>,
 ) {
     let rank = comm.rank();
     let size = comm.size();
-    let k = items.cols();
-    let stride = k + 1; // item index + K factors per shipped row
+    let stride = items.cols() + 1; // item index + K factors per shipped row
 
-    let mut exch = match window {
-        None => Exchange::TwoSided {
-            tag,
-            stride,
-            flush_len: cfg.send_buffer_items.max(1) * stride,
-            send_bufs: vec![Vec::new(); size],
-        },
-        Some(win) => Exchange::OneSided {
-            win,
-            scratch_vals: Vec::new(),
-        },
+    let mut exch = Exchange {
+        tag,
+        stride,
+        flush_len: cfg.send_buffer_items.max(1) * stride,
+        send_bufs: vec![Vec::new(); size],
     };
     // Items still expected from each source this sweep (per-source quota).
     let mut outstanding: Vec<usize> = (0..size).map(|src| plan.sends_between(src, rank)).collect();
@@ -591,50 +572,26 @@ fn sweep_side(
     exch.finish(comm, items, &mut outstanding);
 }
 
-/// The two item-exchange mechanisms behind one small interface.
-enum Exchange {
-    /// §IV-C: per-destination buffers over tagged two-sided messages.
-    TwoSided {
-        tag: Tag,
-        stride: usize,
-        flush_len: usize,
-        send_bufs: Vec<Vec<f64>>,
-    },
-    /// §VI future work: GASPI-style puts with item-id notifications.
-    OneSided {
-        win: WindowHandle,
-        scratch_vals: Vec<u64>,
-    },
+/// §IV-C's item exchange: per-destination buffers of `(index, row)`
+/// records over tagged two-sided messages.
+struct Exchange {
+    tag: Tag,
+    stride: usize,
+    flush_len: usize,
+    send_bufs: Vec<Vec<f64>>,
 }
 
 impl Exchange {
     /// Ship one finished item toward every rank that needs it.
     fn ship(&mut self, comm: &mut Comm<'_>, items: &Mat, plan: &CommPlan, item: usize) {
         let row = items.row(item);
-        match self {
-            Exchange::TwoSided {
-                tag,
-                flush_len,
-                send_bufs,
-                ..
-            } => {
-                for &dst in plan.destinations(item) {
-                    let buf = &mut send_bufs[dst as usize];
-                    buf.push(item as f64);
-                    buf.extend_from_slice(row);
-                    if buf.len() >= *flush_len {
-                        comm.send_bytes(dst as usize, *tag, wire::f64s_to_bytes(buf));
-                        buf.clear();
-                    }
-                }
-            }
-            Exchange::OneSided { win, .. } => {
-                // No buffering: cheap puts are the point of the one-sided
-                // model (the overhead the paper buffers around is gone).
-                let k = items.cols();
-                for &dst in plan.destinations(item) {
-                    comm.window_put_notify(*win, dst as usize, item * k, row, item as u64);
-                }
+        for &dst in plan.destinations(item) {
+            let buf = &mut self.send_bufs[dst as usize];
+            buf.push(item as f64);
+            buf.extend_from_slice(row);
+            if buf.len() >= self.flush_len {
+                comm.send_bytes(dst as usize, self.tag, wire::f64s_to_bytes(buf));
+                buf.clear();
             }
         }
     }
@@ -646,33 +603,13 @@ impl Exchange {
     // per-source quotas, so the indexed loop is the honest shape.
     #[allow(clippy::needless_range_loop)]
     fn poll(&mut self, comm: &mut Comm<'_>, items: &mut Mat, outstanding: &mut [usize]) {
-        match self {
-            Exchange::TwoSided { tag, stride, .. } => {
-                for src in 0..outstanding.len() {
-                    while outstanding[src] > 0 {
-                        match comm.try_recv(Some(src), *tag) {
-                            Some((_, bytes)) => {
-                                apply_items(items, &bytes, *stride, &mut outstanding[src])
-                            }
-                            None => break,
-                        }
+        for src in 0..outstanding.len() {
+            while outstanding[src] > 0 {
+                match comm.try_recv(Some(src), self.tag) {
+                    Some((_, bytes)) => {
+                        apply_items(items, &bytes, self.stride, &mut outstanding[src])
                     }
-                }
-            }
-            Exchange::OneSided { win, scratch_vals } => {
-                let k = items.cols();
-                for src in 0..outstanding.len() {
-                    if outstanding[src] == 0 {
-                        continue;
-                    }
-                    scratch_vals.clear();
-                    let n =
-                        comm.window_poll_notifications(*win, src, outstanding[src], scratch_vals);
-                    for &v in scratch_vals.iter().take(n) {
-                        let idx = v as usize;
-                        comm.window_read_local(*win, idx * k, items.row_mut(idx));
-                        outstanding[src] -= 1;
-                    }
+                    None => break,
                 }
             }
         }
@@ -682,36 +619,16 @@ impl Exchange {
     /// quota for this sweep is met.
     #[allow(clippy::needless_range_loop)]
     fn finish(&mut self, comm: &mut Comm<'_>, items: &mut Mat, outstanding: &mut [usize]) {
-        match self {
-            Exchange::TwoSided {
-                tag,
-                stride,
-                send_bufs,
-                ..
-            } => {
-                for (dst, buf) in send_bufs.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        comm.send_bytes(dst, *tag, wire::f64s_to_bytes(buf));
-                        buf.clear();
-                    }
-                }
-                for src in 0..outstanding.len() {
-                    while outstanding[src] > 0 {
-                        let (_, bytes) = comm.recv(Some(src), *tag);
-                        apply_items(items, &bytes, *stride, &mut outstanding[src]);
-                    }
-                }
+        for (dst, buf) in self.send_bufs.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                comm.send_bytes(dst, self.tag, wire::f64s_to_bytes(buf));
+                buf.clear();
             }
-            Exchange::OneSided { win, .. } => {
-                let k = items.cols();
-                for src in 0..outstanding.len() {
-                    while outstanding[src] > 0 {
-                        let v = comm.window_wait_notification(*win, src);
-                        let idx = v as usize;
-                        comm.window_read_local(*win, idx * k, items.row_mut(idx));
-                        outstanding[src] -= 1;
-                    }
-                }
+        }
+        for src in 0..outstanding.len() {
+            while outstanding[src] > 0 {
+                let (_, bytes) = comm.recv(Some(src), self.tag);
+                apply_items(items, &bytes, self.stride, &mut outstanding[src]);
             }
         }
     }
@@ -1041,22 +958,26 @@ mod tests {
 
     #[test]
     fn hybrid_ranks_converge_and_agree_across_ranks() {
-        // §IV-A hybrid mode: 2 ranks × 2 worker threads. Values differ from
+        // §IV-A hybrid mode: 2 ranks × 2 worker threads, with instant
+        // delivery and under the network model (whose delays reorder when
+        // items arrive relative to the pool's batches). Values differ from
         // the sequential run (different RNG-item pairing) but ranks must
         // still agree with each other and converge.
         let (r, rt, mean, test) = planted(43, 60, 40);
         let mut cfg = dist_cfg(7);
         cfg.threads_per_rank = 2;
-        let out = Universe::run(2, None, |comm| run_rank(comm, &r, &rt, mean, &test, &cfg));
-        for o in &out {
-            assert!(
-                o.final_rmse() < 0.5,
-                "rank {} rmse = {}",
-                o.rank,
-                o.final_rmse()
-            );
+        for net in [None, Some(bpmf_mpisim::NetModel::test_cluster())] {
+            let out = Universe::run(2, net, |comm| run_rank(comm, &r, &rt, mean, &test, &cfg));
+            for o in &out {
+                assert!(
+                    o.final_rmse() < 0.5,
+                    "net {net:?}: rank {} rmse = {}",
+                    o.rank,
+                    o.final_rmse()
+                );
+            }
+            assert_traces_identical(&out[0].rmse_mean_trace, &out[1].rmse_mean_trace);
         }
-        assert_traces_identical(&out[0].rmse_mean_trace, &out[1].rmse_mean_trace);
     }
 
     #[test]
@@ -1077,54 +998,6 @@ mod tests {
             hybrid[0].final_rmse(),
             sequential[0].final_rmse()
         );
-    }
-
-    #[test]
-    fn one_sided_exchange_is_value_identical_to_two_sided() {
-        // The exchange mechanism moves the same rows in the same per-source
-        // order, so with one seed the full RMSE trace must be bit-identical
-        // across mechanisms — only timing may differ.
-        let (r, rt, mean, test) = planted(47, 50, 35);
-        let cfg2 = dist_cfg(10);
-        let two = Universe::run(3, None, |comm| run_rank(comm, &r, &rt, mean, &test, &cfg2));
-        let mut cfg1 = dist_cfg(10);
-        cfg1.exchange = ExchangeMode::OneSided;
-        let one = Universe::run(3, None, |comm| run_rank(comm, &r, &rt, mean, &test, &cfg1));
-        assert_traces_identical(&two[0].rmse_mean_trace, &one[0].rmse_mean_trace);
-        assert_traces_identical(&two[0].rmse_sample_trace, &one[0].rmse_sample_trace);
-        // And one-sided traffic is item-granular: at least as many "messages"
-        // (puts) as the two-sided buffered path.
-        let msgs_two: u64 = two.iter().map(|o| o.msgs_sent).sum();
-        let msgs_one: u64 = one.iter().map(|o| o.msgs_sent).sum();
-        assert!(
-            msgs_one >= msgs_two,
-            "puts {msgs_one} vs messages {msgs_two}"
-        );
-    }
-
-    #[test]
-    fn one_sided_works_with_network_delay_and_hybrid_threads() {
-        let (r, rt, mean, test) = planted(49, 40, 30);
-        let mut cfg = dist_cfg(11);
-        cfg.exchange = ExchangeMode::OneSided;
-        cfg.threads_per_rank = 2;
-        cfg.base.burnin = 5;
-        cfg.base.samples = 14;
-        let out = Universe::run(2, Some(bpmf_mpisim::NetModel::test_cluster()), |comm| {
-            run_rank(comm, &r, &rt, mean, &test, &cfg)
-        });
-        // Work stealing makes the RNG-item pairing scheduling-dependent, so
-        // the short chain's exact RMSE varies run to run; assert *relative*
-        // convergence (like the sampler tests) with enough slack that the
-        // scheduling tail cannot graze it — the load-bearing assertion here
-        // is the cross-rank trace agreement below, which is exact.
-        let first = out[0].rmse_sample_trace[0];
-        let last = out[0].final_rmse();
-        assert!(
-            last < first * 0.8,
-            "no convergence: first {first}, last {last}"
-        );
-        assert_traces_identical(&out[0].rmse_mean_trace, &out[1].rmse_mean_trace);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use bpmf_stats::SuffStats;
 /// Borrowed training inputs: the rating matrix in both orientations, its
 /// global mean, and the held-out test points.
 ///
-/// The matrix sides are [`RatingStore`]s, not concrete [`Csr`]s
-/// (`bpmf_sparse::Csr`): an in-RAM `&Csr` coerces here unchanged, and a
+/// The matrix sides are [`RatingStore`]s, not concrete
+/// [`Csr`](bpmf_sparse::Csr)s: an in-RAM `&Csr` coerces here unchanged, and a
 /// memory-mapped [`crate::MappedSlab`] plugs in its [`crate::SlabCsr`]
 /// orientations for out-of-core training.
 #[derive(Clone, Copy)]

@@ -15,7 +15,7 @@
 //! [`wire::CMD_RELOAD`] possible — a connection thread loads and
 //! CRC-verifies a new checkpoint **off the request path**, swaps it into
 //! the handle, and workers pick it up at their next micro-batch without
-//! dropping a single in-flight request (see [`serve_batches`] for the
+//! dropping a single in-flight request (see `serve_batches` for the
 //! consistency guarantee).
 
 use std::net::{TcpListener, TcpStream};
@@ -34,7 +34,7 @@ use crate::serve::shard::{ShardSpec, ShardView};
 use crate::serve::{wire, RankPolicy, RecommendService, ServeRequest};
 
 /// Everything a [`wire::CMD_RELOAD`] needs that a raw
-/// [`crate::SamplerCheckpoint`] does not carry: the training-spec values
+/// [`SamplerCheckpoint`] does not carry: the training-spec values
 /// the daemon was originally configured with, so a rebuilt
 /// [`PosteriorModel`] scores bit-identically to the trainer's own.
 #[derive(Clone, Copy, Debug)]

@@ -11,7 +11,6 @@ use crate::{Tag, RESERVED_TAG_BASE};
 
 const TAG_ALLREDUCE_CONTRIB: Tag = RESERVED_TAG_BASE;
 const TAG_ALLREDUCE_RESULT: Tag = RESERVED_TAG_BASE + 1;
-const TAG_BCAST: Tag = RESERVED_TAG_BASE + 2;
 const TAG_ALLGATHER: Tag = RESERVED_TAG_BASE + 3;
 const TAG_ALLREDUCE_MAX_CONTRIB: Tag = RESERVED_TAG_BASE + 4;
 const TAG_ALLREDUCE_MAX_RESULT: Tag = RESERVED_TAG_BASE + 5;
@@ -58,26 +57,6 @@ impl TimeStats {
             self.both.as_secs_f64() / total,
             self.comm.as_secs_f64() / total,
         )
-    }
-}
-
-/// A completed buffered-send handle.
-///
-/// Sends in this runtime are buffered (the payload is copied into the
-/// mailbox on the spot), so like a small-message `MPI_Isend` the request is
-/// complete as soon as it is created; `wait` exists for call-site fidelity
-/// with the MPI code the paper describes.
-#[derive(Debug)]
-#[must_use = "hold the request until the communication epoch is over"]
-pub struct SendRequest(());
-
-impl SendRequest {
-    /// Complete immediately (buffered semantics).
-    pub fn wait(self) {}
-
-    /// Always true (buffered semantics).
-    pub fn test(&self) -> bool {
-        true
     }
 }
 
@@ -133,13 +112,6 @@ impl<'a> Comm<'a> {
             "tag {tag} is reserved for collectives"
         );
         self.send_raw(dst, tag, payload);
-    }
-
-    /// Nonblocking send; the returned request is already complete (buffered
-    /// semantics — the runtime owns a copy of the payload).
-    pub fn isend(&mut self, dst: usize, tag: Tag, payload: &[u8]) -> SendRequest {
-        self.send(dst, tag, payload);
-        SendRequest(())
     }
 
     fn send_raw(&mut self, dst: usize, tag: Tag, payload: Bytes) {
@@ -302,33 +274,6 @@ impl<'a> Comm<'a> {
         }
     }
 
-    /// Sum a single counter across ranks.
-    pub fn allreduce_sum_u64(&mut self, value: u64) -> u64 {
-        let mut buf = [value as f64];
-        // Exact for counters below 2^53, which covers every count BPMF ships.
-        self.allreduce_sum_f64(&mut buf);
-        buf[0].round() as u64
-    }
-
-    /// Broadcast `buf` from `root` to every rank.
-    pub fn bcast_f64s(&mut self, root: usize, buf: &mut [f64]) {
-        let n = self.size();
-        if n == 1 {
-            return;
-        }
-        if self.rank == root {
-            let payload = wire::f64s_to_bytes(buf);
-            for dst in 0..n {
-                if dst != root {
-                    self.send_raw(dst, TAG_BCAST, payload.clone());
-                }
-            }
-        } else {
-            let (_, payload) = self.recv(Some(root), TAG_BCAST);
-            wire::read_f64s(&payload, buf);
-        }
-    }
-
     /// Every rank's payload on every rank, in rank order (`MPI_Allgatherv`).
     ///
     /// Each rank sends its payload straight to every peer: the buffer is
@@ -375,7 +320,7 @@ impl<'a> Comm<'a> {
 
     /// True when this rank has unconsumed outgoing messages or pending
     /// incoming ones.
-    pub fn comm_in_flight(&self) -> bool {
+    fn comm_in_flight(&self) -> bool {
         if self.shared.inflight_from[self.rank].load(Ordering::Acquire) > 0 {
             return true;
         }
@@ -396,26 +341,6 @@ impl<'a> Comm<'a> {
     pub fn reset_accounting(&mut self) {
         self.stats = CommStats::default();
         self.times = TimeStats::default();
-    }
-
-    // Internal plumbing shared with the one-sided window module.
-
-    pub(crate) fn shared(&self) -> &UniverseShared {
-        self.shared
-    }
-
-    pub(crate) fn net_model(&self) -> Option<crate::NetModel> {
-        self.shared.net
-    }
-
-    pub(crate) fn account_put(&mut self, bytes: u64, dur: std::time::Duration) {
-        self.stats.bytes_sent += bytes;
-        self.stats.msgs_sent += 1;
-        self.times.comm += dur;
-    }
-
-    pub(crate) fn account_comm_time(&mut self, dur: std::time::Duration) {
-        self.times.comm += dur;
     }
 }
 
@@ -534,30 +459,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn allreduce_u64_counts() {
-        let out = Universe::run(3, None, |comm| {
-            comm.allreduce_sum_u64(comm.rank() as u64 + 1)
-        });
-        assert_eq!(out, vec![6, 6, 6]);
-    }
-
-    #[test]
-    fn bcast_propagates_root_data() {
-        let out = Universe::run(4, None, |comm| {
-            let mut buf = if comm.rank() == 2 {
-                vec![3.5, -1.0]
-            } else {
-                vec![0.0, 0.0]
-            };
-            comm.bcast_f64s(2, &mut buf);
-            buf
-        });
-        for buf in &out {
-            assert_eq!(buf, &vec![3.5, -1.0]);
-        }
-    }
-
     fn gathered(out: &[Vec<Bytes>]) -> Vec<Vec<Vec<u8>>> {
         out.iter()
             .map(|per_rank| per_rank.iter().map(|b| b.to_vec()).collect())
@@ -660,20 +561,6 @@ mod tests {
         assert_eq!(out[0].bytes_sent, 150);
         assert_eq!(out[1].msgs_recv, 2);
         assert_eq!(out[1].bytes_recv, 150);
-    }
-
-    #[test]
-    fn isend_request_completes() {
-        Universe::run(2, None, |comm| {
-            if comm.rank() == 0 {
-                let req = comm.isend(1, 4, b"async");
-                assert!(req.test());
-                req.wait();
-            } else {
-                let (_, data) = comm.recv(Some(0), 4);
-                assert_eq!(&data[..], b"async");
-            }
-        });
     }
 
     #[test]

@@ -14,11 +14,10 @@
 //! What transfers to a real MPI build: the entire distributed driver in
 //! `bpmf::distributed` — partitioning, send buffering, phase protocols,
 //! overlap accounting — is written against [`Comm`], whose surface
-//! deliberately mirrors the MPI calls the paper names (`send`/`isend`,
+//! deliberately mirrors the MPI calls the paper names (buffered `send`,
 //! blocking and polling receive, barrier, and the collectives
-//! `allreduce` (sum and max, reduced in rank order), `bcast` and
-//! `allgather`). [`wire`] is the little-endian `f64` codec every payload
-//! goes through.
+//! `allreduce` (sum and max, reduced in rank order) and `allgather`).
+//! [`wire`] is the little-endian `f64` codec every payload goes through.
 //!
 //! # Example
 //!
@@ -43,13 +42,11 @@
 mod comm;
 mod net;
 mod universe;
-mod window;
 pub mod wire;
 
 pub use comm::{Comm, CommStats, TimeStats};
 pub use net::NetModel;
 pub use universe::Universe;
-pub use window::WindowHandle;
 
 /// Message tag type (MPI uses `int`; tags at `RESERVED_TAG_BASE` and above
 /// are reserved for collectives).

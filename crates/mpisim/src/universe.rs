@@ -85,8 +85,6 @@ pub(crate) struct UniverseShared {
     /// whose counter is non-zero has communication "in flight" — the
     /// predicate behind the compute/both split of Fig. 5.
     pub inflight_from: Vec<AtomicUsize>,
-    /// One-sided windows (GASPI-style), created collectively.
-    pub window_registry: Mutex<crate::window::WindowRegistry>,
     /// Set when some rank panicked (or called [`Comm::abort`]); blocked
     /// communication calls on every other rank observe it and panic instead
     /// of waiting for a message that will never come.
@@ -155,7 +153,6 @@ impl Universe {
             barrier: CentralBarrier::new(nranks),
             net,
             inflight_from: (0..nranks).map(|_| AtomicUsize::new(0)).collect(),
-            window_registry: Mutex::new(crate::window::WindowRegistry::new(nranks)),
             aborted: AtomicBool::new(false),
             abort_rank: AtomicUsize::new(usize::MAX),
         };

@@ -1,6 +1,7 @@
 //! Randomized stress tests of the message-passing runtime: conservation
-//! (every byte sent is received), cross-pattern deadlock freedom, and
-//! window/messaging interleaving.
+//! (every byte sent is received), cross-pattern deadlock freedom,
+//! collectives interleaved with point-to-point traffic, and abort
+//! propagation to blocked ranks.
 
 use bpmf_mpisim::{Universe, RESERVED_TAG_BASE};
 
@@ -61,7 +62,7 @@ fn interleaved_collectives_and_p2p_do_not_cross_talk() {
     let n = 4;
     let out = Universe::run(n, None, |comm| {
         let me = comm.rank();
-        // P2P ring + allreduce + bcast, repeated; values must stay aligned.
+        // P2P ring + allreduce + allgather, repeated; values must stay aligned.
         let mut acc = 0.0f64;
         for round in 0..10u64 {
             comm.send((me + 1) % n, 5, &[(round as u8).wrapping_add(me as u8)]);
@@ -69,15 +70,22 @@ fn interleaved_collectives_and_p2p_do_not_cross_talk() {
             comm.allreduce_sum_f64(&mut buf);
             // Σ(r + round) over ranks = n*round + n(n-1)/2
             assert_eq!(buf[0], (n * (n - 1) / 2) as f64 + (n as u64 * round) as f64);
+            // Rank r contributes r + 1 bytes of `round + r`: uneven payloads
+            // sent while the ring message is still unreceived.
+            let gathered = comm.allgather(vec![(round as u8).wrapping_add(me as u8); me + 1]);
+            for (src, payload) in gathered.iter().enumerate() {
+                assert_eq!(
+                    payload.to_vec(),
+                    vec![(round as u8).wrapping_add(src as u8); src + 1],
+                    "round {round}: payload from rank {src}"
+                );
+            }
             let (_, data) = comm.recv(Some((me + n - 1) % n), 5);
             assert_eq!(
                 data[0],
                 (round as u8).wrapping_add(((me + n - 1) % n) as u8)
             );
-            let mut b = [if me == 0 { round as f64 } else { -1.0 }];
-            comm.bcast_f64s(0, &mut b);
-            assert_eq!(b[0], round as f64);
-            acc += buf[0] + b[0];
+            acc += buf[0];
         }
         acc
     });
@@ -85,41 +93,6 @@ fn interleaved_collectives_and_p2p_do_not_cross_talk() {
     for v in &out[1..] {
         assert_eq!(v, &out[0]);
     }
-}
-
-#[test]
-fn windows_and_messages_interleave_safely() {
-    let n = 3;
-    Universe::run(n, None, |comm| {
-        let me = comm.rank();
-        let win = comm.window_create(n * 4);
-        // One-sided puts to the right neighbor while two-sided traffic flows
-        // to the left neighbor. Spans are reused across rounds, so the
-        // writer must wait for the reader's ack before overwriting (the
-        // epoch requirement documented on the window module); without it
-        // the reader can observe round r+1 data under round r's
-        // notification.
-        let right = (me + 1) % n;
-        let left = (me + n - 1) % n;
-        for round in 0..20u64 {
-            if round > 0 {
-                let _ = comm.recv(Some(right), 10); // right read our previous span
-            }
-            comm.window_put_notify(win, right, me * 4, &[round as f64; 4], round);
-            comm.send(left, 9, &round.to_le_bytes());
-            let (_, bytes) = comm.recv(Some(right), 9);
-            assert_eq!(u64::from_le_bytes(bytes[..8].try_into().unwrap()), round);
-            let note = comm.window_wait_notification(win, left);
-            assert_eq!(note, round);
-            let mut row = [0.0f64; 4];
-            comm.window_read_local(win, left * 4, &mut row);
-            assert!(
-                row.iter().all(|&v| v == round as f64),
-                "round {round}: stale span {row:?}"
-            );
-            comm.send(left, 10, &[]); // ack: the writer may reuse the span
-        }
-    });
 }
 
 #[test]
@@ -165,15 +138,15 @@ fn rank_panic_poisons_barrier_waiters() {
 }
 
 #[test]
-fn explicit_abort_unblocks_window_waiters() {
+fn explicit_abort_unblocks_blocked_receivers() {
     let err = std::panic::catch_unwind(|| {
         Universe::run(2, None, |comm| {
-            let win = comm.window_create(4);
+            comm.barrier();
             if comm.rank() == 0 {
                 comm.abort("unrecoverable input");
             }
-            // Rank 1 waits for a notification rank 0 will never put.
-            let _ = comm.window_wait_notification(win, 0);
+            // Rank 1 waits for a message rank 0 will never send.
+            let _ = comm.recv(Some(0), 1);
         });
     })
     .expect_err("universe must propagate the abort");
