@@ -270,7 +270,14 @@ pub fn run_rank(
         sweep_side(
             comm,
             &mut movies.items,
-            &workers.draw(cfg, &prior, global_mean, &rt, &users.items),
+            &workers.draw(
+                cfg,
+                &prior,
+                global_mean,
+                &rt,
+                movie_parts.range(rank),
+                &users.items,
+            ),
             &workers,
             &movie_plan,
             &movie_parts,
@@ -284,7 +291,14 @@ pub fn run_rank(
         sweep_side(
             comm,
             &mut users.items,
-            &workers.draw(cfg, &prior, global_mean, &r, &movies.items),
+            &workers.draw(
+                cfg,
+                &prior,
+                global_mean,
+                &r,
+                user_parts.range(rank),
+                &movies.items,
+            ),
             &workers,
             &user_plan,
             &user_parts,
@@ -484,17 +498,18 @@ impl RankWorkers {
         }
     }
 
-    /// The sweep's item draw. Pool workers each run a whole item, so their
-    /// kernels stay single-threaded.
+    /// The sweep's item draw over the rank's own `rows`. Pool workers each
+    /// run a whole item, so their kernels stay single-threaded.
     fn draw<'a>(
         &self,
         cfg: &DistConfig,
         prior: &'a PriorParts,
         global_mean: f64,
         matrix: &'a Csr,
+        rows: std::ops::Range<usize>,
         other: &'a Mat,
     ) -> ItemDraw<'a> {
-        let mut draw = ItemDraw::new(&cfg.base, prior, global_mean, matrix, other);
+        let mut draw = ItemDraw::new(&cfg.base, prior, global_mean, matrix, rows, other);
         if self.pool.is_some() {
             draw.kernel_threads = 1;
         }

@@ -520,7 +520,14 @@ impl<'a> GibbsSampler<'a> {
             Side::Movies => (movies, &*users, data.rt, &*movie_weights, &*movie_side),
             Side::Users => (users, &*movies, data.r, &*user_weights, &*user_side),
         };
-        let mut draw = ItemDraw::new(cfg, prior, data.global_mean, matrix, &other.items);
+        let mut draw = ItemDraw::new(
+            cfg,
+            prior,
+            data.global_mean,
+            matrix,
+            0..matrix.nrows(),
+            &other.items,
+        );
         draw.offsets = side_info.as_ref().map(|si| si.offsets());
         let writer = MatWriter::new(&mut state.items);
         // Out-of-core stores: tell the kernel the whole orientation is

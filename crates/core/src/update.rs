@@ -13,11 +13,16 @@
 //! * **light** ([`UpdateMethod::RankOne`]) — an exact draw in the prior's
 //!   whitened coordinates (Matheron's rule, equivalently Woodbury): a prior
 //!   draw through the sweep's `chol(Λ)`, corrected by the residuals of `d`
-//!   simulated ratings through a `d × d` system. Two triangular solves, one
-//!   product with the sweep's cached `L⁻ᵀ` per rating and `d²/2` dot
-//!   products, `O(d·K² + d³)`, with no `K × K` copy or factorization:
-//!   cheapest for items with few ratings. An unrated item pays the two
-//!   solves alone.
+//!   simulated ratings through a `d × d` system, with no `K × K` copy or
+//!   factorization: cheapest for items with few ratings. Inside a sweep
+//!   ([`ItemDraw`]) the whitened prior mean `L⁻¹Λμ` and, where the light
+//!   rows carry enough ratings, the whitened counterpart rows `L⁻¹v_j` are
+//!   sweep constants computed once, so a light item pays one triangular
+//!   solve, `d²/2` dot products against cached rows and the `d × d`
+//!   system, `O(K² + d²·K + d³)`. Without the cached rows it also pays one
+//!   product with the sweep's cached `L⁻ᵀ` per rating, `O(d·K² + d³)`;
+//!   called alone ([`update_item`]) it pays those and the forward solve,
+//!   for the same bits.
 //! * **serial Cholesky** — the mid-item workhorse. Counterpart rows are
 //!   *gathered* into a contiguous `d × K` panel, [`bpmf_linalg::PANEL_BLOCK`]
 //!   rows at a time, and folded in as one rank-d update
@@ -59,6 +64,14 @@
 //!   K = 16, 3–5 at K = 32 and 12 at K = 64; `K/8` sits at or one step
 //!   below that. The portable arm, whose factorization is slower, measured
 //!   5, 8–12 and 27.
+//! * Both the probe and the calibration call the public [`update_item`],
+//!   which has no sweep constants: they price a light item at its
+//!   stand-alone cost, above what it costs inside a sweep, where
+//!   [`ItemDraw`] has already paid the forward solve of `L⁻¹Λμ` and,
+//!   on ChEMBL's compound side, the per-rating `L⁻ᵀ` products. The light
+//!   arm is therefore cheaper in a sweep than these numbers say, and the
+//!   `max(K/8, 1)` crossover is conservative; re-measuring it inside a
+//!   sweep is open.
 //! * `update.heavy_ns_per_rating` against `update.par_ns_per_rating` is the
 //!   serial kernel's per-rating cost against the parallel one's: raise
 //!   `parallel_threshold` until CholParallel actually beats CholSerial at
@@ -67,10 +80,11 @@
 
 use bpmf_linalg::{
     cholesky_in_place, cholesky_in_place_parallel, gemv_t_acc, kernel_pool, solve_lower,
-    solve_lower_transpose, syrk_ld_lower, vecops, Cholesky, Mat, PANEL_BLOCK,
+    solve_lower_transpose, syrk_ld_lower, vecops, Cholesky, Mat, DEFAULT_BLOCK, PANEL_BLOCK,
 };
 use bpmf_stats::{fill_standard_normal, Xoshiro256pp};
 
+use std::ops::Range;
 use std::sync::Mutex;
 
 use crate::checkpoint::RngState;
@@ -206,10 +220,12 @@ impl PriorParts {
 }
 
 /// One sweep's item draw: the side's prior, the ratings being swept, the
-/// counterpart factors and the kernel choice — everything [`update_item`]
-/// needs besides a worker's RNG stream and scratch. Every chain that sweeps
-/// items (the shared-memory sampler, sequential and hybrid distributed
-/// ranks) draws through [`ItemDraw::draw`].
+/// counterpart factors, the kernel choice and the light arm's sweep
+/// constants — everything an item update needs besides a worker's RNG
+/// stream and scratch. Every chain that sweeps items (the shared-memory
+/// sampler, sequential and hybrid distributed ranks) builds one per sweep
+/// and draws through [`ItemDraw::draw`], which gives the same bits as
+/// [`update_item`] with the same kernel.
 pub(crate) struct ItemDraw<'a> {
     prior: SidePrior<'a>,
     ratings: &'a dyn RatingStore,
@@ -220,18 +236,54 @@ pub(crate) struct ItemDraw<'a> {
     parallel_threshold: usize,
     /// Threads a heavy item's parallel kernel may use.
     pub kernel_threads: usize,
+    light: LightConstants,
+}
+
+/// What every light item of one sweep would otherwise recompute: values
+/// [`light_draw`] computes per item, computed once with the same calls, so
+/// the draws keep their bits.
+struct LightConstants {
+    /// `c₀ = L⁻¹Λμ`, the whitened prior mean of an item without an offset.
+    c0: Vec<f64>,
+    /// `W`, whose row `j` is `L⁻¹v_j`: the counterpart in the prior's
+    /// whitened coordinates. Built only when the light rows being swept
+    /// carry at least as many ratings as the counterpart has rows (see
+    /// [`whitens_counterpart`]).
+    whitened: Option<Mat>,
 }
 
 impl<'a> ItemDraw<'a> {
-    /// The draw `cfg` prescribes for items of `ratings` (one row per item)
-    /// against the counterpart factors `other`.
+    /// The draw `cfg` prescribes for the items `rows` of `ratings` (one row
+    /// per item) against the counterpart factors `other`. `rows` are the
+    /// items this sweep draws: they decide whether whitening the
+    /// counterpart once pays for itself.
     pub fn new(
         cfg: &BpmfConfig,
         prior: &'a PriorParts,
         mean_offset: f64,
         ratings: &'a dyn RatingStore,
+        rows: Range<usize>,
         other: &'a Mat,
     ) -> Self {
+        let rank_one_max = cfg.rank_one_threshold();
+        let parallel_threshold = cfg.parallel_threshold;
+        let mut c0 = prior.lambda_mu.clone();
+        solve_lower(prior.chol_lambda.l(), &mut c0);
+        let whitened = whitens_counterpart(
+            ratings,
+            rows,
+            other.rows(),
+            rank_one_max,
+            parallel_threshold,
+        )
+        .then(|| {
+            let l_inv_t = prior.chol_lambda.l_inv_t();
+            let mut w = Mat::zeros(other.rows(), other.cols());
+            for j in 0..other.rows() {
+                l_inv_t.matvec_t_into(other.row(j), w.row_mut(j));
+            }
+            w
+        });
         ItemDraw {
             prior: SidePrior {
                 lambda: &prior.lambda,
@@ -243,9 +295,10 @@ impl<'a> ItemDraw<'a> {
             ratings,
             other,
             offsets: None,
-            rank_one_max: cfg.rank_one_threshold(),
-            parallel_threshold: cfg.parallel_threshold,
+            rank_one_max,
+            parallel_threshold,
             kernel_threads: cfg.kernel_threads,
+            light: LightConstants { c0, whitened },
         }
     }
 
@@ -260,18 +313,38 @@ impl<'a> ItemDraw<'a> {
     ) {
         let ratings = self.ratings.row(item);
         let method = choose_method(ratings.0.len(), self.rank_one_max, self.parallel_threshold);
-        update_item(
+        draw_item(
             method,
             &self.prior,
             ratings,
             self.other,
             self.offsets.map(|g| g.row(item)),
+            Some(&self.light),
             rng,
             scratch,
             out,
             self.kernel_threads,
         );
     }
+}
+
+/// Whether a sweep over `rows` of `ratings` should whiten all
+/// `counterpart_rows` counterpart rows up front: only when the light items
+/// among `rows` carry at least as many ratings, each of which would
+/// otherwise whiten its counterpart row itself. Read off the row offsets.
+fn whitens_counterpart(
+    ratings: &dyn RatingStore,
+    rows: Range<usize>,
+    counterpart_rows: usize,
+    rank_one_max: usize,
+    parallel_threshold: usize,
+) -> bool {
+    let light: usize = ratings.raw_parts().0[rows.start..=rows.end]
+        .windows(2)
+        .map(|w| w[1] - w[0])
+        .filter(|&d| choose_method(d, rank_one_max, parallel_threshold) == UpdateMethod::RankOne)
+        .sum();
+    light >= counterpart_rows
 }
 
 /// Per-worker RNG streams and scratch buffers, indexed by a runner's
@@ -335,6 +408,35 @@ pub fn update_item(
     out: &mut [f64],
     kernel_threads: usize,
 ) {
+    draw_item(
+        method,
+        prior,
+        ratings,
+        other,
+        offset,
+        None,
+        rng,
+        scratch,
+        out,
+        kernel_threads,
+    );
+}
+
+/// [`update_item`], with a sweep's light constants when the caller has
+/// them.
+#[allow(clippy::too_many_arguments)]
+fn draw_item(
+    method: UpdateMethod,
+    prior: &SidePrior<'_>,
+    ratings: (&[u32], &[f64]),
+    other: &Mat,
+    offset: Option<&[f64]>,
+    light: Option<&LightConstants>,
+    rng: &mut Xoshiro256pp,
+    scratch: &mut UpdateScratch,
+    out: &mut [f64],
+    kernel_threads: usize,
+) {
     let k = prior.lambda.rows();
     debug_assert_eq!(out.len(), k, "output row length mismatch");
     let (cols, vals) = ratings;
@@ -345,7 +447,7 @@ pub fn update_item(
             // K normals for the prior draw, then one per rating.
             scratch.noise.resize(k + cols.len(), 0.0);
             fill_standard_normal(rng, &mut scratch.noise);
-            light_draw(prior, offset, cols, vals, other, scratch, out);
+            light_draw(prior, offset, cols, vals, other, light, scratch, out);
             return;
         }
         UpdateMethod::CholSerial => {
@@ -354,7 +456,7 @@ pub fn update_item(
         }
         UpdateMethod::CholParallel => {
             accumulate_parallel(prior, offset, cols, vals, other, scratch, kernel_threads);
-            cholesky_in_place_parallel(&mut scratch.prec, kernel_threads, 32)
+            cholesky_in_place_parallel(&mut scratch.prec, kernel_threads, DEFAULT_BLOCK)
                 .expect("item precision must be SPD");
         }
     }
@@ -390,20 +492,33 @@ pub fn update_item(
 /// product with its cached `L⁻ᵀ` per rating (`u_j`), `d²/2` dot products
 /// and a `d × d` factorization; no `K × K` matrix is factored. With no
 /// ratings this is the serial kernel's arithmetic on `L`, bit for bit.
+///
+/// A sweep's `light` constants replace the forward solve (`c₀`, for an item
+/// without an offset) and the per-rating products (the rows of `W`, when
+/// built) with the values the same calls gave once for the whole sweep, so
+/// the draw is the same with or without them.
+#[allow(clippy::too_many_arguments)]
 fn light_draw(
     prior: &SidePrior<'_>,
     offset: Option<&[f64]>,
     cols: &[u32],
     vals: &[f64],
     other: &Mat,
+    light: Option<&LightConstants>,
     scratch: &mut UpdateScratch,
     out: &mut [f64],
 ) {
     let k = out.len();
     let d = cols.len();
     let l = prior.chol_lambda.l();
-    let l_inv_t = prior.chol_lambda.l_inv_t();
-    seed_rhs(prior, offset, scratch);
+    match light {
+        Some(lc) if offset.is_none() => scratch.rhs.copy_from_slice(&lc.c0),
+        _ => {
+            seed_rhs(prior, offset, scratch);
+            solve_lower(l, &mut scratch.rhs);
+        }
+    }
+    let whitened = light.and_then(|lc| lc.whitened.as_ref());
     let UpdateScratch {
         rhs: c,
         noise,
@@ -413,31 +528,40 @@ fn light_draw(
         ..
     } = scratch;
     let (z, eps) = noise[..k + d].split_at(k);
-    solve_lower(l, c);
     for (ci, &zi) in c.iter_mut().zip(z) {
         *ci += zi;
     }
     u.clear();
+    if whitened.is_none() {
+        let l_inv_t = prior.chol_lambda.l_inv_t();
+        for &j in cols {
+            let at = u.len();
+            u.resize(at + k, 0.0);
+            l_inv_t.matvec_t_into(other.row(j as usize), &mut u[at..]);
+        }
+    }
+    // `u_a = L⁻¹v_j` for the item's `a`-th rating `j`.
+    let u = &u[..];
+    let u_row = move |a: usize| match whitened {
+        Some(w) => w.row(cols[a] as usize),
+        None => &u[a * k..(a + 1) * k],
+    };
     e.clear();
     let noise_sd = prior.alpha.sqrt().recip();
-    for ((&j, &r), &ej) in cols.iter().zip(vals).zip(eps) {
-        let at = u.len();
-        u.resize(at + k, 0.0);
-        let uj = &mut u[at..];
-        l_inv_t.matvec_t_into(other.row(j as usize), uj);
-        e.push(r - prior.mean_offset - vecops::dot(uj, c) - noise_sd * ej);
+    for (a, (&r, &ea)) in vals.iter().zip(eps).enumerate() {
+        e.push(r - prior.mean_offset - vecops::dot(u_row(a), c) - noise_sd * ea);
     }
     gram.clear();
     gram.resize(d * d, 0.0);
-    for (a, ua) in u.chunks_exact(k).enumerate() {
-        for (b, ub) in u.chunks_exact(k).enumerate().take(a + 1) {
-            gram[a * d + b] = vecops::dot(ua, ub);
+    for a in 0..d {
+        for b in 0..=a {
+            gram[a * d + b] = vecops::dot(u_row(a), u_row(b));
         }
         gram[a * d + a] += prior.alpha.recip();
     }
     solve_small_spd(gram, d, e);
-    for (uj, &sj) in u.chunks_exact(k).zip(e.iter()) {
-        vecops::axpy(sj, uj, c);
+    for (a, &sa) in e.iter().enumerate() {
+        vecops::axpy(sa, u_row(a), c);
     }
     out.copy_from_slice(c);
     solve_lower_transpose(l, out);
@@ -654,6 +778,7 @@ fn accumulate_parallel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bpmf_sparse::{Coo, Csr};
 
     fn fixture(
         k: usize,
@@ -692,7 +817,16 @@ mod tests {
         let mut scratch = UpdateScratch::new(k);
         scratch.noise = noise.to_vec();
         let mut out = vec![0.0; k];
-        light_draw(prior, offset, cols, vals, other, &mut scratch, &mut out);
+        light_draw(
+            prior,
+            offset,
+            cols,
+            vals,
+            other,
+            None,
+            &mut scratch,
+            &mut out,
+        );
         out
     }
 
@@ -1102,6 +1236,123 @@ mod tests {
         for (g, w) in out.iter().zip(&mu) {
             assert!((g - w).abs() <= 1e-12, "{g} vs {w}");
         }
+    }
+
+    /// `degrees[i]` ratings in row `i`, over `ncols` counterpart rows.
+    fn rows_with_degrees(degrees: &[usize], ncols: usize) -> Csr {
+        let mut coo = Coo::new(degrees.len(), ncols);
+        for (i, &d) in degrees.iter().enumerate() {
+            for t in 0..d {
+                let r = 3.0 + ((i + t) as f64 * 0.37).sin();
+                coo.push(i, (i * 7 + t) % ncols, r);
+            }
+        }
+        Csr::from_coo(&coo)
+    }
+
+    /// A sweep's light draw, with its constants (`c₀`, and `W` when the
+    /// swept rows build it), is the public `update_item`'s draw bit for
+    /// bit, and leaves the RNG where `update_item` leaves it: every rating
+    /// count the light arm takes, with and without a side-information
+    /// offset, on a scratch reused across items.
+    #[test]
+    fn sweep_constants_keep_every_light_draw_bit_for_bit() {
+        let k = 32;
+        let cfg = BpmfConfig {
+            num_latent: k,
+            ..BpmfConfig::default()
+        };
+        let max = cfg.rank_one_threshold();
+        let mut rng = Xoshiro256pp::seed_from_u64(77);
+        let lambda = dense_prior(k, &mut rng);
+        let mu: Vec<f64> = (0..k).map(|i| 0.2 * (i as f64 * 0.7).sin()).collect();
+        let parts = PriorParts::new(&mu, &lambda);
+        // Rows 0..=max have 0..=max ratings; single-rating filler rows make
+        // the light ratings outnumber the counterpart rows.
+        let ncols = 12;
+        let degrees: Vec<usize> = (0..=max).chain(std::iter::repeat_n(1, ncols)).collect();
+        let ratings = rows_with_degrees(&degrees, ncols);
+        let other = Mat::from_fn(ncols, k, |_, _| bpmf_stats::normal(&mut rng, 0.0, 0.5));
+        let shifts = Mat::from_fn(ratings.nrows(), k, |i, j| 0.1 * ((i * k + j) as f64).cos());
+        for rows in [0..ratings.nrows(), 0..0] {
+            for offsets in [None, Some(&shifts)] {
+                let mut draw = ItemDraw::new(&cfg, &parts, 3.0, &ratings, rows.clone(), &other);
+                draw.offsets = offsets;
+                assert_eq!(draw.light.whitened.is_some(), !rows.is_empty());
+                let (mut swept, mut alone) = (UpdateScratch::new(k), UpdateScratch::new(k));
+                let (mut got, mut want) = (vec![0.0; k], vec![0.0; k]);
+                for item in 0..=max {
+                    let (cols, vals) = ratings.row(item);
+                    assert_eq!(cols.len(), item);
+                    assert_eq!(
+                        choose_method(item, max, cfg.parallel_threshold),
+                        UpdateMethod::RankOne
+                    );
+                    let (mut ours, mut theirs) = (rng.clone(), rng.clone());
+                    draw.draw(item, &mut ours, &mut swept, &mut got);
+                    update_item(
+                        UpdateMethod::RankOne,
+                        &draw.prior,
+                        (cols, vals),
+                        &other,
+                        offsets.map(|g| g.row(item)),
+                        &mut theirs,
+                        &mut alone,
+                        &mut want,
+                        1,
+                    );
+                    let at = format!(
+                        "d={item} offset={} W={}",
+                        offsets.is_some(),
+                        !rows.is_empty()
+                    );
+                    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got), bits(&want), "{at}");
+                    assert_eq!(ours.snapshot(), theirs.snapshot(), "{at}");
+                    rng = ours;
+                }
+            }
+        }
+    }
+
+    /// `W` pays for itself once the light rows being swept carry at least
+    /// as many ratings as the counterpart has rows: ChEMBL's compound side
+    /// builds it, its target side and MovieLens-shaped rows do not, and a
+    /// rank counts only the rows it sweeps.
+    #[test]
+    fn counterpart_is_whitened_only_where_light_ratings_cover_it() {
+        let cfg = BpmfConfig {
+            num_latent: 32,
+            ..BpmfConfig::default()
+        };
+        let whitens = |m: &Csr, rows: Range<usize>| {
+            whitens_counterpart(
+                m,
+                rows,
+                m.ncols(),
+                cfg.rank_one_threshold(),
+                cfg.parallel_threshold,
+            )
+        };
+        // ChEMBL-shaped: 400 compounds with 1–3 ratings over 30 targets.
+        let degrees: Vec<usize> = (0..400).map(|i| 1 + i % 3).collect();
+        let compounds = rows_with_degrees(&degrees, 30);
+        assert!(whitens(&compounds, 0..400));
+        // The target side: ≈ 27 ratings per target, none of them light.
+        let targets = compounds.transpose();
+        assert!(!whitens(&targets, 0..targets.nrows()));
+        // MovieLens-shaped: every row heavy, on both sides.
+        let dense = rows_with_degrees(&[20; 60], 40);
+        assert!(!whitens(&dense, 0..60));
+        assert!(!whitens(&dense.transpose(), 0..40));
+        // A rank's own rows: 10 compounds carry 20 light ratings, under
+        // the 30 targets; the last 20 carry 40.
+        assert!(!whitens(&compounds, 0..10));
+        assert!(whitens(&compounds, 380..400));
+        assert!(!whitens(&compounds, 400..400));
+        // The break-even point itself builds `W`.
+        assert!(whitens(&rows_with_degrees(&[1; 30], 30), 0..30));
+        assert!(!whitens(&rows_with_degrees(&[1; 29], 30), 0..29));
     }
 
     #[test]

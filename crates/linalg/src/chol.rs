@@ -223,7 +223,10 @@ impl Cholesky {
     /// `L⁻ᵀ`, computed on the first call (`n` forward solves) and kept. Row
     /// `i` is column `i` of `L⁻¹`, so `l_inv_t().matvec_t_into(v, u)` forms
     /// `u = L⁻¹v` in one vectorized pass instead of a forward solve, whose
-    /// unknowns wait on each other.
+    /// unknowns wait on each other. That call is the only way a vector is
+    /// whitened against `L`: the BPMF sampler's light items use it per
+    /// rating, or once per counterpart row for a whole sweep, and rely on
+    /// both giving the same bits.
     pub fn l_inv_t(&self) -> &Mat {
         self.l_inv_t.get_or_init(|| {
             let n = self.dim();
