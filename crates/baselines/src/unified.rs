@@ -478,7 +478,7 @@ impl Trainer for SgmcmcRecommenderTrainer {
                 break;
             }
         }
-        self.model = Some(Arc::new(sampler.posterior_model()));
+        self.model = Some(Arc::new(sampler.into_model()));
         Ok(FitReport {
             algorithm: Algorithm::Sgmcmc.to_string(),
             engine: "sgld-serial".to_string(),

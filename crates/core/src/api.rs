@@ -656,16 +656,33 @@ impl PosteriorModel {
     /// current factor sample when no post-burn-in draws were accumulated.
     /// The sampler's user-side hyper state rides along, so the model can
     /// fold in cold-start users ([`Recommender::fold_in_user`]).
+    ///
+    /// Copies the sampler's posterior sums so it can keep sampling; a
+    /// finished chain moves them instead with [`GibbsSampler::into_model`].
     pub fn from_sampler(s: &GibbsSampler<'_>) -> Self {
-        let draw = || (s.user_factors().clone(), s.movie_factors().clone());
         let (mu, lambda) = s.user_hyper();
-        Self::from_posterior(
+        Self::from_chain(
             s.posterior().clone(),
-            draw,
+            || (s.user_factors().clone(), s.movie_factors().clone()),
+            (mu.to_vec(), lambda.clone()),
+            s.cfg(),
             s.global_mean(),
-            s.cfg().rating_bounds,
         )
-        .with_user_prior(mu.to_vec(), lambda.clone(), s.cfg().alpha)
+    }
+
+    /// The one body behind [`PosteriorModel::from_sampler`] and
+    /// [`GibbsSampler::into_model`]: a Gibbs chain's posterior, with
+    /// `draw()` as the no-sample fallback and the user-side prior
+    /// `(μ_U, Λ_U)` attached for fold-in.
+    pub(crate) fn from_chain(
+        posterior: PosteriorAccumulator,
+        draw: impl FnOnce() -> (Mat, Mat),
+        (mu, lambda): (Vec<f64>, Mat),
+        cfg: &BpmfConfig,
+        global_mean: f64,
+    ) -> Self {
+        Self::from_posterior(posterior, draw, global_mean, cfg.rating_bounds)
+            .with_user_prior(mu, lambda, cfg.alpha)
     }
 
     /// Assemble a posterior model from already-averaged factors — the path
@@ -1542,7 +1559,7 @@ impl Trainer for GibbsTrainer {
                 break;
             }
         }
-        self.model = Some(Arc::new(PosteriorModel::from_sampler(&sampler)));
+        self.model = Some(Arc::new(sampler.into_model()));
         Ok(FitReport {
             algorithm: Algorithm::Gibbs.to_string(),
             engine: runner.name().to_string(),
@@ -1896,6 +1913,47 @@ mod tests {
             bare.fold_in_user(&items, &ratings).unwrap_err(),
             FoldInError::Unsupported
         );
+    }
+
+    #[test]
+    fn into_model_builds_the_from_sampler_model_bit_for_bit() {
+        // The moved path and the copying path share one body; pin that on
+        // a chain with second moments (3 post-burn-in draws) and on the
+        // current-draw fallback (burn-in not yet over).
+        let (r, rt, test) = tiny();
+        let data = TrainData::try_new(&r, &rt, 2.5, &test).unwrap();
+        let runner = EngineKind::Static.build(1);
+        let bits = |m: &Mat| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (burnin, iterations, samples) in [(2, 5, 3), (3, 2, 0)] {
+            let cfg = BpmfConfig {
+                num_latent: 2,
+                burnin,
+                samples: 3,
+                seed: 9,
+                kernel_threads: 1,
+                rating_bounds: Some((1.0, 5.0)),
+                ..Default::default()
+            };
+            let mut sampler = GibbsSampler::new(cfg, data);
+            sampler.run(runner.as_ref(), iterations);
+            let copied = PosteriorModel::from_sampler(&sampler);
+            let moved = sampler.into_model();
+            assert_eq!((copied.samples(), moved.samples()), (samples, samples));
+            assert_eq!(bits(copied.user_means()), bits(moved.user_means()));
+            assert_eq!(bits(copied.movie_means()), bits(moved.movie_means()));
+            for (a, b) in [
+                (&copied.user_second, &moved.user_second),
+                (&copied.movie_second, &moved.movie_second),
+            ] {
+                assert_eq!(a.is_some(), samples >= 2);
+                assert_eq!(a.as_ref().map(bits), b.as_ref().map(bits));
+            }
+            let (a, b) = (copied.fold_in.unwrap(), moved.fold_in.unwrap());
+            let mu = |p: &UserPrior| p.mu.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(mu(&a), mu(&b));
+            assert_eq!(bits(&a.lambda), bits(&b.lambda));
+            assert_eq!(a.alpha.to_bits(), b.alpha.to_bits());
+        }
     }
 
     #[test]

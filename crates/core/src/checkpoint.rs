@@ -68,6 +68,11 @@ impl FlatMat {
     pub fn to_mat(&self) -> Mat {
         Mat::from_row_major(self.rows, self.cols, self.data.clone())
     }
+
+    /// Rebuild the dense matrix from this buffer, without a copy.
+    pub fn into_mat(self) -> Mat {
+        Mat::from_row_major(self.rows, self.cols, self.data)
+    }
 }
 
 /// Serializable RNG stream state.

@@ -22,16 +22,19 @@
 //! * **Replicated hyperparameter sampling**: sufficient statistics are
 //!   all-reduced (deterministic rank-ordered reduction) and every rank draws
 //!   the identical `(μ, Λ)` from a replicated RNG stream.
-//! * **Posterior gather**: after the last iteration each rank ships only
-//!   the rows it owns of the posterior means and second moments, averaged
-//!   and encoded in one pass, in a single [`Comm::allgather`]; every rank
-//!   writes the received rows straight into replicated matrices in the
-//!   caller's original (pre-RCM) row order.
+//! * **Posterior gather**: after the last iteration each rank frees its
+//!   replicated factors, plans and matrix copies, then ships the rows it
+//!   owns of the posterior means and second moments, averaged and encoded
+//!   in one pass, to rank 0 in a single [`Comm::gather`]. Rank 0 alone
+//!   assembles the full matrices in the caller's original (pre-RCM) row
+//!   order, its own rows straight from its sums; the other ranks hold no
+//!   full-size output.
 //!
 //! Test-set edges are included in the communication plan, so every rank
 //! holds fresh values for exactly the counterpart rows its held-out points
 //! need — RMSE traces are bit-identical on every rank.
 
+use std::borrow::Cow;
 use std::time::Instant;
 
 use bpmf_linalg::Mat;
@@ -56,6 +59,8 @@ use bpmf_linalg::MatWriter;
 
 const TAG_USER_ITEMS: Tag = 1;
 const TAG_MOVIE_ITEMS: Tag = 2;
+/// The rank that assembles the gathered posterior.
+const GATHER_ROOT: usize = 0;
 
 /// How updated items travel between ranks.
 ///
@@ -138,17 +143,17 @@ pub struct DistOutcome {
     /// Cross-rank item transfers per iteration (both sides, all ranks).
     pub comm_volume_items: usize,
     /// Posterior-mean user factors in *original* (pre-RCM) row order —
-    /// identical on every rank. Each row was averaged on the rank that owns
-    /// it and reached the others through the end-of-run allgather. `None`
-    /// when no post-burn-in iterations ran.
+    /// rank 0 only. Each row was averaged on the rank that owns it and
+    /// reached rank 0 through the end-of-run gather. `None` on every other
+    /// rank, and when no post-burn-in iterations ran.
     #[serde(default)]
     pub user_factors: Option<FlatMat>,
-    /// Posterior-mean movie factors (original order, replicated the same
-    /// way).
+    /// Posterior-mean movie factors (original order, rank 0 only, as
+    /// `user_factors`).
     #[serde(default)]
     pub movie_factors: Option<FlatMat>,
     /// Element-wise posterior second moments `E[u²]` (present with
-    /// `factor_samples >= 2`; original order, replicated), feeding
+    /// `factor_samples >= 2`; original order, rank 0 only), feeding
     /// uncertainty-aware serving.
     #[serde(default)]
     pub user_second: Option<FlatMat>,
@@ -177,7 +182,8 @@ impl DistOutcome {
 /// Every rank must call this with identical `r`/`rt`/`test`/`cfg` (SPMD).
 /// The rating structure is replicated; factors are partitioned — each rank
 /// *computes* only its own consecutive region of `U` and `V` and receives
-/// exactly the remote rows the rating structure says it needs.
+/// exactly the remote rows the rating structure says it needs. Only rank
+/// 0's outcome carries the gathered posterior factors.
 pub fn run_rank(
     comm: &mut Comm<'_>,
     r: &Csr,
@@ -193,9 +199,10 @@ pub fn run_rank(
 
     // ---- §IV-B: optional RCM reordering, identical on every rank. -------
     // The permutations are kept so gathered factors can be handed back in
-    // the caller's original row/column order.
+    // the caller's original row/column order. Without reordering the
+    // caller's matrices are borrowed, not copied.
     let mut perms: Option<(Permutation, Permutation)> = None;
-    let (r, rt, test): (Csr, Csr, Vec<(u32, u32, f64)>) = if cfg.reorder {
+    let (r, rt, test): (Cow<'_, Csr>, Cow<'_, Csr>, Cow<'_, [_]>) = if cfg.reorder {
         let (pr, pc) = rcm_bipartite(r);
         let r2 = r.permute(&pr, &pc);
         let rt2 = r2.transpose();
@@ -210,9 +217,9 @@ pub fn run_rank(
             })
             .collect();
         perms = Some((pr, pc));
-        (r2, rt2, t2)
+        (Cow::Owned(r2), Cow::Owned(rt2), Cow::Owned(t2))
     } else {
-        (r.clone(), rt.clone(), test.to_vec())
+        (Cow::Borrowed(r), Cow::Borrowed(rt), Cow::Borrowed(test))
     };
 
     // ---- Workload-balanced consecutive regions. --------------------------
@@ -221,10 +228,15 @@ pub fn run_rank(
     let movie_parts = BlockPartition::weighted(&wm.row_weights(&rt), size);
 
     // ---- Communication plans over train ∪ test structure. ----------------
-    let struct_r = union_structure(&r, &test);
-    let struct_rt = struct_r.transpose();
-    let user_plan = CommPlan::build(&struct_r, &user_parts, &movie_parts);
-    let movie_plan = CommPlan::build(&struct_rt, &movie_parts, &user_parts);
+    // The structure matrices are dropped as soon as the plans exist.
+    let (user_plan, movie_plan) = {
+        let struct_r = union_structure(&r, &test);
+        let struct_rt = struct_r.transpose();
+        (
+            CommPlan::build(&struct_r, &user_parts, &movie_parts),
+            CommPlan::build(&struct_rt, &movie_parts, &user_parts),
+        )
+    };
     let comm_volume_items = user_plan.total_sends() + movie_plan.total_sends();
 
     // ---- Replicated state, rank-disjoint update RNG streams. -------------
@@ -244,7 +256,7 @@ pub fn run_rank(
         .filter(|p| user_parts.part_of(p.0 as usize) == rank)
         .copied()
         .collect();
-    // Posterior sums over the rank's *owned* rows (the partition covers
+    // Posterior sums sized to the rank's *owned* rows (the partition covers
     // every row exactly once, so the end-of-run gather assembles complete
     // posterior means for serving).
     let mut posterior = PosteriorAccumulator::new(
@@ -322,10 +334,16 @@ pub fn run_rank(
     comm.allreduce_max_f64(&mut slowest);
     let total_items = ((r.nrows() + r.ncols()) * iterations) as f64;
 
+    // Nothing reads the replicated factors, the workers, the plans or the
+    // (reordered) matrices again: free them before the gather allocates.
+    drop((
+        users, movies, workers, user_plan, movie_plan, r, rt, test, my_test,
+    ));
+
     // ---- Posterior-factor gather (outside the timed loop). ---------------
-    // Each rank ships only its owned rows, averaged, in one allgather; every
-    // rank writes them straight into the replicated outputs at the
-    // caller's original (pre-RCM) indices.
+    // Each rank ships only its owned rows, averaged, to rank 0, which
+    // writes them straight into the outputs at the caller's original
+    // (pre-RCM) indices.
     let pr = perms.as_ref().map(|(pr, _)| pr);
     let pc = perms.as_ref().map(|(_, pc)| pc);
     let second = posterior.squares().filter(|_| posterior.count() >= 2);
@@ -348,7 +366,9 @@ pub fn run_rank(
             ]
         })
         .collect();
-    let mut gathered = gather_owned_rows(comm, &blocks, 1.0 / posterior.count() as f64).into_iter();
+    let mut gathered = gather_owned_rows(comm, &blocks, 1.0 / posterior.count() as f64)
+        .into_iter()
+        .flatten();
     let mut next = || gathered.next();
     let (user_factors, movie_factors) = (next(), next());
     let (user_second, movie_second) = (next(), next());
@@ -377,52 +397,72 @@ pub fn run_rank(
     }
 }
 
-/// One matrix of the end-of-run gather: the rank's posterior sums (only
-/// its owned rows are read), the partition of its rows across ranks, and
-/// the permutation back to the caller's row order.
+/// One matrix of the end-of-run gather: the rank's posterior sums over its
+/// owned rows (row 0 is the first row of `parts.range(rank)`), the
+/// partition of all rows across ranks, and the permutation back to the
+/// caller's row order.
 struct GatherBlock<'a> {
     sums: &'a Mat,
     parts: &'a BlockPartition,
     perm: Option<&'a Permutation>,
 }
 
-/// Replicate `blocks` on every rank from their owners' rows.
+/// Assemble `blocks` on rank 0 from their owners' rows.
 ///
-/// Each rank encodes its owned (consecutive) rows of every block, scaled
-/// by `inv`, into one payload; one [`Comm::allgather`] delivers every
-/// rank's payload everywhere. Each output is then filled in the caller's
-/// row order, every row decoded straight from its owner's payload:
-/// sequential writes into the fresh output, scattered reads from payloads
-/// already in memory. Every rank must pass blocks of the same shapes and
-/// partitions, in the same order.
-fn gather_owned_rows(comm: &mut Comm<'_>, blocks: &[GatherBlock<'_>], inv: f64) -> Vec<FlatMat> {
+/// Every other rank encodes its owned (consecutive) rows of every block,
+/// scaled by `inv`, into one payload; one [`Comm::gather`] delivers them
+/// to rank 0. Rank 0 then fills each output in the caller's row order:
+/// its own rows scaled straight from its sums, every other row decoded
+/// from its owner's payload — sequential writes into the fresh output,
+/// scattered reads from memory already resident. Every rank must pass
+/// blocks of the same partitions, in the same order. Returns `None` on
+/// every rank but 0.
+fn gather_owned_rows(
+    comm: &mut Comm<'_>,
+    blocks: &[GatherBlock<'_>],
+    inv: f64,
+) -> Option<Vec<FlatMat>> {
     let rank = comm.rank();
-    let owned = |b: &GatherBlock<'_>, p: usize| {
-        let (k, rows) = (b.sums.cols(), b.parts.range(p));
-        rows.start * k..rows.end * k
-    };
-    let mut payload = Vec::with_capacity(blocks.iter().map(|b| owned(b, rank).len() * 8).sum());
     for b in blocks {
-        let mine = &b.sums.as_slice()[owned(b, rank)];
-        wire::put_f64s(&mut payload, mine.iter().map(|v| v * inv));
+        assert_eq!(
+            b.sums.rows(),
+            b.parts.range(rank).len(),
+            "gather block must hold exactly the rank's own rows"
+        );
     }
-    let received = comm.allgather(payload);
+    let mut payload = Vec::new();
+    if rank != GATHER_ROOT {
+        payload.reserve(blocks.iter().map(|b| b.sums.as_slice().len() * 8).sum());
+        for b in blocks {
+            wire::put_f64s(&mut payload, b.sums.as_slice().iter().map(|v| v * inv));
+        }
+    }
+    let received = comm.gather(GATHER_ROOT, payload)?;
 
     // Byte offset of the current block in each rank's payload.
     let mut base = vec![0usize; received.len()];
     let out = blocks
         .iter()
         .map(|b| {
-            let (rows, k) = (b.sums.rows(), b.sums.cols());
+            let (rows, k) = (b.parts.domain_len(), b.sums.cols());
             let mut data = vec![0.0; rows * k];
             for (dst, row) in data.chunks_exact_mut(k).enumerate() {
                 let i = b.perm.map_or(dst, |p| p.new_of(dst));
                 let src = b.parts.part_of(i);
-                let at = base[src] + (i - b.parts.range(src).start) * 8 * k;
-                wire::read_f64s(&received[src][at..at + 8 * k], row);
+                let local = i - b.parts.range(src).start;
+                if src == GATHER_ROOT {
+                    for (o, &v) in row.iter_mut().zip(b.sums.row(local)) {
+                        *o = v * inv;
+                    }
+                } else {
+                    let at = base[src] + local * 8 * k;
+                    wire::read_f64s(&received[src][at..at + 8 * k], row);
+                }
             }
             for (src, at) in base.iter_mut().enumerate() {
-                *at += owned(b, src).len() * 8;
+                if src != GATHER_ROOT {
+                    *at += b.parts.range(src).len() * 8 * k;
+                }
             }
             FlatMat {
                 rows,
@@ -434,7 +474,7 @@ fn gather_owned_rows(comm: &mut Comm<'_>, blocks: &[GatherBlock<'_>], inv: f64) 
     for (at, bytes) in base.iter().zip(&received) {
         assert_eq!(*at, bytes.len(), "gather payload length mismatch");
     }
-    out
+    Some(out)
 }
 
 /// Train ∪ test structure matrix (values irrelevant, deduplicated).
@@ -724,8 +764,10 @@ impl DistributedTrainer {
         spec.threads
     }
 
-    /// Rank 0's full outcome (communication/overlap accounting included),
-    /// once `fit` has run.
+    /// Rank 0's outcome (traces and communication/overlap accounting),
+    /// once `fit` has run. Its factor fields are `None`: `fit` moves the
+    /// gathered factors into the [`model`](Self::model) instead of keeping
+    /// a second copy.
     pub fn outcome(&self) -> Option<&DistOutcome> {
         self.outcome.as_ref()
     }
@@ -772,7 +814,7 @@ impl Trainer for DistributedTrainer {
         let cfg = Self::dist_config(&self.spec);
         let ranks = Self::ranks(&self.spec);
         let t0 = Instant::now();
-        let outcome = Universe::run(ranks, None, |comm| {
+        let mut outcome = Universe::run(ranks, None, |comm| {
             run_rank(comm, r, rt, data.global_mean, data.test, &cfg)
         })
         .into_iter()
@@ -803,20 +845,22 @@ impl Trainer for DistributedTrainer {
             }
         }
 
-        self.model = match (&outcome.user_factors, &outcome.movie_factors) {
-            (Some(u), Some(v)) => Some(std::sync::Arc::new(PosteriorModel::from_factors(
-                u.to_mat(),
-                v.to_mat(),
-                match (&outcome.user_second, &outcome.movie_second) {
-                    (Some(u2), Some(v2)) => Some((u2.to_mat(), v2.to_mat())),
-                    _ => None,
-                },
+        // Rank 0's gathered matrices move into the model, uncopied.
+        let second = outcome.user_second.take().zip(outcome.movie_second.take());
+        let means = outcome
+            .user_factors
+            .take()
+            .zip(outcome.movie_factors.take());
+        self.model = means.map(|(u, v)| {
+            std::sync::Arc::new(PosteriorModel::from_factors(
+                u.into_mat(),
+                v.into_mat(),
+                second.map(|(u2, v2)| (u2.into_mat(), v2.into_mat())),
                 data.global_mean,
                 self.spec.rating_bounds,
                 outcome.factor_samples,
-            ))),
-            _ => None,
-        };
+            ))
+        });
         self.outcome = Some(outcome);
         Ok(FitReport {
             algorithm: Algorithm::Distributed.to_string(),
@@ -1017,8 +1061,8 @@ mod tests {
 
     #[test]
     fn gathered_factors_are_replicated_and_serve_the_test_rmse() {
-        // Every rank must assemble the identical full posterior means, and
-        // a PosteriorModel built from them must reproduce the final
+        // Rank 0 alone must assemble the full posterior means, and a
+        // PosteriorModel built from them must reproduce the final
         // posterior-mean RMSE the run reported (the factors really are in
         // original row order, even with RCM reordering on).
         let (r, rt, mean, test) = planted(53, 50, 35);
@@ -1030,20 +1074,15 @@ mod tests {
         assert_eq!((vf.rows, vf.cols), (r.ncols(), 4));
         assert_eq!(out[0].factor_samples, cfg.base.samples);
         for o in &out[1..] {
-            let (u2, v2) = (
-                o.user_factors.as_ref().unwrap(),
-                o.movie_factors.as_ref().unwrap(),
+            assert!(
+                o.user_factors.is_none()
+                    && o.movie_factors.is_none()
+                    && o.user_second.is_none()
+                    && o.movie_second.is_none(),
+                "rank {} holds gathered factors",
+                o.rank
             );
-            for (a, b) in uf.data.iter().zip(&u2.data) {
-                assert_eq!(a.to_bits(), b.to_bits(), "user factors differ across ranks");
-            }
-            for (a, b) in vf.data.iter().zip(&v2.data) {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "movie factors differ across ranks"
-                );
-            }
+            assert_eq!(o.factor_samples, cfg.base.samples);
         }
         // A model served from the gathered factor means is a slightly
         // different estimator than the trace's per-point prediction average
@@ -1066,11 +1105,13 @@ mod tests {
     }
 
     #[test]
-    fn gather_replicates_owned_rows_in_caller_order_bit_for_bit() {
+    fn gather_assembles_owned_rows_on_rank_0_in_caller_order_bit_for_bit() {
         // Three ranks. Users split 1 / 3 / 3 under a permutation that
         // reverses them; movies split 1 / 1 / 0 (rank 2 owns none) under a
-        // swap. Every rank fills only the rows it owns and poisons the
-        // rest with NaN, so any read of a non-owned row shows up.
+        // swap. Every rank fills only the rows it owns of a full-size
+        // matrix and poisons the rest with NaN, then hands the gather its
+        // owned rows, row 0 first: a row taken at the wrong offset carries
+        // NaN (or another rank's value) into the output.
         let user_parts = BlockPartition::weighted(&[5.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], 3);
         let movie_parts = BlockPartition::uniform(2, 3);
         assert_eq!(user_parts.ranges(), &[0..1, 1..4, 4..7]);
@@ -1086,14 +1127,16 @@ mod tests {
             1 => f64::from_bits(3 + block as u64),
             _ => (block * 100 + i * 10 + c) as f64 * 0.37 - 1.1,
         };
-        let sums = |block: usize, rows: usize, parts: &BlockPartition, rank: usize| {
-            Mat::from_fn(rows, k, |i, c| {
+        let owned_sums = |block: usize, rows: usize, parts: &BlockPartition, rank: usize| {
+            let full = Mat::from_fn(rows, k, |i, c| {
                 if parts.part_of(i) == rank {
                     value(block, i, c)
                 } else {
                     f64::NAN
                 }
-            })
+            });
+            let own = parts.range(rank);
+            Mat::from_fn(own.len(), k, |r, c| full[(own.start + r, c)])
         };
         let layout = [
             (7, &user_parts, &user_perm),
@@ -1105,7 +1148,7 @@ mod tests {
             let mats: Vec<Mat> = layout
                 .iter()
                 .enumerate()
-                .map(|(b, (rows, parts, _))| sums(b, *rows, parts, comm.rank()))
+                .map(|(b, (rows, parts, _))| owned_sums(b, *rows, parts, comm.rank()))
                 .collect();
             let blocks: Vec<GatherBlock<'_>> = mats
                 .iter()
@@ -1118,19 +1161,21 @@ mod tests {
                 .collect();
             gather_owned_rows(comm, &blocks, inv)
         });
-        for (rank, gathered) in out.iter().enumerate() {
-            assert_eq!(gathered.len(), layout.len());
-            for (b, ((rows, _, perm), got)) in layout.iter().zip(gathered).enumerate() {
-                assert_eq!((got.rows, got.cols), (*rows, k));
-                let mut want = vec![f64::NAN; rows * k];
-                for i in 0..*rows {
-                    for c in 0..k {
-                        want[perm.old_of(i) * k + c] = value(b, i, c) * inv;
-                    }
+        for (rank, got) in out.iter().enumerate().skip(1) {
+            assert!(got.is_none(), "rank {rank} must get nothing");
+        }
+        let gathered = out[0].as_ref().expect("rank 0 assembles the outputs");
+        assert_eq!(gathered.len(), layout.len());
+        for (b, ((rows, _, perm), got)) in layout.iter().zip(gathered).enumerate() {
+            assert_eq!((got.rows, got.cols), (*rows, k));
+            let mut want = vec![f64::NAN; rows * k];
+            for i in 0..*rows {
+                for c in 0..k {
+                    want[perm.old_of(i) * k + c] = value(b, i, c) * inv;
                 }
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got.data), bits(&want), "rank {rank}, block {b}");
             }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.data), bits(&want), "block {b}");
         }
     }
 
@@ -1144,7 +1189,11 @@ mod tests {
             assert!(o.rmse_mean_trace.iter().all(|v| v.is_nan()));
             assert!(o.final_rmse().is_nan());
             assert_eq!(o.factor_samples, cfg.base.samples);
-            assert!(o.user_factors.is_some() && o.movie_second.is_some());
+            // Only rank 0 assembles the gathered factors.
+            assert_eq!(
+                o.user_factors.is_some() && o.movie_second.is_some(),
+                o.rank == 0
+            );
         }
     }
 

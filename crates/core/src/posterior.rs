@@ -8,9 +8,10 @@
 //!
 //! A distributed rank owns only a consecutive range of rows per side, so
 //! an accumulator can be restricted to those ranges
-//! ([`PosteriorAccumulator::owning`]); the rank then predicts only its own
-//! test points and all-reduces the squared errors before turning them into
-//! RMSEs ([`PosteriorAccumulator::rmse`]).
+//! ([`PosteriorAccumulator::owning`]), whose sums then hold those rows
+//! only; the rank predicts only its own test points and all-reduces the
+//! squared errors before turning them into RMSEs
+//! ([`PosteriorAccumulator::rmse`]).
 
 use std::ops::Range;
 
@@ -41,7 +42,8 @@ pub(crate) struct PosteriorAccumulator {
     /// Rows folded in per side; `None` means every row.
     owned: Option<(Range<usize>, Range<usize>)>,
     count: usize,
-    /// Factor sums `(ΣU, ΣV)`, allocated at the first post-burn-in draw.
+    /// Factor sums `(ΣU, ΣV)` over the folded rows (row 0 is the first
+    /// folded row), allocated at the first post-burn-in draw.
     sums: Option<FactorPair>,
     /// Element-wise squared-factor sums. Absent after resuming a chain
     /// whose checkpoint predates them: the early draws' squares are lost,
@@ -75,7 +77,9 @@ impl PosteriorAccumulator {
     }
 
     /// Fold in only these user and movie rows (a distributed rank's own
-    /// regions); the other rows of the sums stay zero.
+    /// regions). The sums are sized to them: row `r` of
+    /// [`sums`](Self::sums) and [`squares`](Self::squares) is row
+    /// `range.start + r` of the draws.
     pub fn owning(mut self, users: Range<usize>, movies: Range<usize>) -> Self {
         self.owned = Some((users, movies));
         self
@@ -134,20 +138,20 @@ impl PosteriorAccumulator {
     }
 
     fn fold(&mut self, users: &Mat, movies: &Mat) {
+        let (user_rows, movie_rows) = self
+            .owned
+            .clone()
+            .unwrap_or((0..users.rows(), 0..movies.rows()));
         let zeros = || {
             (
-                Mat::zeros(users.rows(), users.cols()),
-                Mat::zeros(movies.rows(), movies.cols()),
+                Mat::zeros(user_rows.len(), users.cols()),
+                Mat::zeros(movie_rows.len(), movies.cols()),
             )
         };
         // Squares start with the first draw or not at all (see `squares`).
         if self.count == 0 {
             self.squares.get_or_insert_with(zeros);
         }
-        let (user_rows, movie_rows) = self
-            .owned
-            .clone()
-            .unwrap_or((0..users.rows(), 0..movies.rows()));
         let (su, sv) = self.sums.get_or_insert_with(zeros);
         let (qu, qv) = match &mut self.squares {
             Some((qu, qv)) => (Some(qu), Some(qv)),
@@ -179,7 +183,8 @@ impl PosteriorAccumulator {
         self.count
     }
 
-    /// Raw factor sums `(ΣU, ΣV)`; `None` before any post-burn-in draw.
+    /// Raw factor sums `(ΣU, ΣV)` over the folded rows; `None` before any
+    /// post-burn-in draw.
     pub fn sums(&self) -> Option<&FactorPair> {
         self.sums.as_ref().filter(|_| self.count > 0)
     }
@@ -244,16 +249,17 @@ impl PosteriorAccumulator {
     }
 }
 
-/// Add rows `rows` of `items` into `sum`, and their squares into `sq`.
+/// Add rows `rows` of `items` into `sum`, and their squares into `sq`;
+/// both hold exactly those rows.
 fn fold_rows(sum: &mut Mat, sq: Option<&mut Mat>, items: &Mat, rows: Range<usize>) {
     let k = items.cols();
-    let span = rows.start * k..rows.end * k;
-    let x = &items.as_slice()[span.clone()];
-    for (a, &v) in sum.as_mut_slice()[span.clone()].iter_mut().zip(x) {
+    let x = &items.as_slice()[rows.start * k..rows.end * k];
+    assert_eq!(sum.as_slice().len(), x.len(), "sums sized to other rows");
+    for (a, &v) in sum.as_mut_slice().iter_mut().zip(x) {
         *a += v;
     }
     if let Some(sq) = sq {
-        for (s, &v) in sq.as_mut_slice()[span].iter_mut().zip(x) {
+        for (s, &v) in sq.as_mut_slice().iter_mut().zip(x) {
             *s += v * v;
         }
     }
@@ -290,7 +296,7 @@ mod tests {
 
     #[test]
     fn rank_owned_ranges_reassemble_the_whole_chain_exactly() {
-        // Two "ranks" folding disjoint row ranges must sum, row for row, to
+        // Two "ranks" folding disjoint row ranges must hold, row for row,
         // what one accumulator over every row holds — the invariant the
         // distributed gather relies on.
         let (m, n, k) = (7, 5, 3);
@@ -303,11 +309,7 @@ mod tests {
                 acc.record(iter, &u, &v, &[]);
             }
         }
-        let merge = |a: &Mat, b: &Mat| {
-            let mut out = a.clone();
-            out.add_assign_scaled(b, 1.0);
-            out
-        };
+        let stack = |a: &Mat, b: &Mat| [a.as_slice(), b.as_slice()].concat();
         for (w, (l, h)) in [
             (
                 whole.means().unwrap(),
@@ -318,8 +320,49 @@ mod tests {
                 (lo.second_moments().unwrap(), hi.second_moments().unwrap()),
             ),
         ] {
-            assert_eq!(w.0.as_slice(), merge(&l.0, &h.0).as_slice());
-            assert_eq!(w.1.as_slice(), merge(&l.1, &h.1).as_slice());
+            assert_eq!(w.0.as_slice(), stack(&l.0, &h.0));
+            assert_eq!(w.1.as_slice(), stack(&l.1, &h.1));
+        }
+    }
+
+    #[test]
+    fn owning_sums_hold_the_owned_rows_only() {
+        // Sums and squares are sized to the owned ranges, and row r holds
+        // draw row range.start + r: rows outside the ranges (NaN here) are
+        // never read.
+        let (m, n, k) = (6, 4, 2);
+        let (users, movies) = (2..5, 3..4);
+        let mut acc =
+            PosteriorAccumulator::new(0, 0, 0.0, None).owning(users.clone(), movies.clone());
+        let poisoned = |rows: usize, own: &Range<usize>, seed: u64| {
+            let d = draw(rows, k, seed);
+            Mat::from_fn(rows, k, |i, c| {
+                if own.contains(&i) {
+                    d[(i, c)]
+                } else {
+                    f64::NAN
+                }
+            })
+        };
+        let (u, v) = (poisoned(m, &users, 1), poisoned(n, &movies, 2));
+        acc.record(0, &u, &v, &[]);
+        acc.record(1, &u, &v, &[]);
+        let (sums, squares) = (acc.sums().unwrap(), acc.squares().unwrap());
+        let twice = |x: f64| x + x;
+        let squared_twice = |x: f64| x * x + x * x;
+        for (got, draw, own, want) in [
+            (&sums.0, &u, &users, &twice as &dyn Fn(f64) -> f64),
+            (&sums.1, &v, &movies, &twice),
+            (&squares.0, &u, &users, &squared_twice),
+            (&squares.1, &v, &movies, &squared_twice),
+        ] {
+            assert_eq!((got.rows(), got.cols()), (own.len(), k));
+            for r in 0..own.len() {
+                for c in 0..k {
+                    let x = draw[(own.start + r, c)];
+                    assert_eq!(got[(r, c)].to_bits(), want(x).to_bits());
+                }
+            }
         }
     }
 

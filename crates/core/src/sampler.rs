@@ -7,6 +7,7 @@ use bpmf_sched::{Adjacency, ItemRunner, RunStats};
 use bpmf_sparse::WorkModel;
 use bpmf_stats::Xoshiro256pp;
 
+use crate::api::PosteriorModel;
 use crate::config::BpmfConfig;
 use crate::model::SideState;
 use crate::posterior::{PosteriorAccumulator, PredictionSummary};
@@ -316,6 +317,27 @@ impl<'a> GibbsSampler<'a> {
 
     pub(crate) fn posterior(&self) -> &PosteriorAccumulator {
         &self.posterior
+    }
+
+    /// End the chain and serve it: the same model as
+    /// [`PosteriorModel::from_sampler`], built from the sampler's own
+    /// posterior sums and factors, moved rather than copied.
+    pub fn into_model(self) -> PosteriorModel {
+        let GibbsSampler {
+            cfg,
+            data,
+            users,
+            movies,
+            posterior,
+            ..
+        } = self;
+        PosteriorModel::from_chain(
+            posterior,
+            || (users.items, movies.items),
+            (users.mu, users.lambda),
+            &cfg,
+            data.global_mean,
+        )
     }
 
     /// Running posterior means of the factor matrices (averaged over

@@ -272,10 +272,26 @@ impl<'a> SgldSampler<'a> {
     /// The servable model: posterior-mean factors with element-wise second
     /// moments (so uncertainty-aware ranking policies work), or the current
     /// draw before any post-burn-in epoch.
+    ///
+    /// Copies the posterior sums so the chain can keep sampling; a finished
+    /// chain moves them instead with [`SgldSampler::into_model`].
     pub fn posterior_model(&self) -> PosteriorModel {
         PosteriorModel::from_posterior(
             self.posterior.clone(),
             || (self.users.clone(), self.movies.clone()),
+            self.data.global_mean,
+            self.cfg.rating_bounds,
+        )
+    }
+
+    /// End the chain and serve it: the same model as
+    /// [`posterior_model`](Self::posterior_model), built from the chain's
+    /// own posterior sums and factors, moved rather than copied.
+    pub fn into_model(self) -> PosteriorModel {
+        let (users, movies) = (self.users, self.movies);
+        PosteriorModel::from_posterior(
+            self.posterior,
+            || (users, movies),
             self.data.global_mean,
             self.cfg.rating_bounds,
         )
@@ -424,6 +440,19 @@ mod tests {
             .predict_with_uncertainty(i as usize, j as usize)
             .expect("second moments after two post-burn-in epochs");
         assert!(summary.std > 0.0 && summary.std.is_finite());
+        // The consuming path builds the same model from the moved sums.
+        let moved = s.into_model();
+        assert_eq!(moved.samples(), model.samples());
+        assert_eq!(moved.user_means().as_slice(), model.user_means().as_slice());
+        assert_eq!(
+            moved.movie_means().as_slice(),
+            model.movie_means().as_slice()
+        );
+        let again = moved
+            .predict_with_uncertainty(i as usize, j as usize)
+            .unwrap();
+        assert_eq!(again.mean.to_bits(), summary.mean.to_bits());
+        assert_eq!(again.std.to_bits(), summary.std.to_bits());
     }
 
     #[test]

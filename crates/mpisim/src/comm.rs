@@ -11,7 +11,7 @@ use crate::{Tag, RESERVED_TAG_BASE};
 
 const TAG_ALLREDUCE_CONTRIB: Tag = RESERVED_TAG_BASE;
 const TAG_ALLREDUCE_RESULT: Tag = RESERVED_TAG_BASE + 1;
-const TAG_ALLGATHER: Tag = RESERVED_TAG_BASE + 3;
+const TAG_GATHER: Tag = RESERVED_TAG_BASE + 3;
 const TAG_ALLREDUCE_MAX_CONTRIB: Tag = RESERVED_TAG_BASE + 4;
 const TAG_ALLREDUCE_MAX_RESULT: Tag = RESERVED_TAG_BASE + 5;
 
@@ -274,27 +274,26 @@ impl<'a> Comm<'a> {
         }
     }
 
-    /// Every rank's payload on every rank, in rank order (`MPI_Allgatherv`).
+    /// Every rank's payload on `root`, in rank order (`MPI_Gatherv`).
     ///
-    /// Each rank sends its payload straight to every peer: the buffer is
-    /// shared, not copied, across destinations, and nothing is routed
-    /// through a root. Payloads may differ in length, including zero. The
-    /// caller's own payload comes back at index `rank()`.
-    pub fn allgather(&mut self, payload: impl Into<Bytes>) -> Vec<Bytes> {
+    /// Each other rank sends its payload to `root` once; `root` keeps its
+    /// own payload without traffic. Payloads may differ in length,
+    /// including zero. `root` gets `Some` with its own payload at index
+    /// `root`; every other rank gets `None`.
+    pub fn gather(&mut self, root: usize, payload: impl Into<Bytes>) -> Option<Vec<Bytes>> {
         let payload = payload.into();
-        let (n, rank) = (self.size(), self.rank);
-        for dst in (0..n).filter(|&d| d != rank) {
-            self.send_raw(dst, TAG_ALLGATHER, payload.clone());
+        let n = self.size();
+        assert!(root < n, "gather root {root} out of range");
+        if self.rank != root {
+            self.send_raw(root, TAG_GATHER, payload);
+            return None;
         }
-        (0..n)
-            .map(|src| {
-                if src == rank {
-                    payload.clone()
-                } else {
-                    self.recv(Some(src), TAG_ALLGATHER).1
-                }
-            })
-            .collect()
+        let mut all: Vec<Bytes> = (0..n)
+            .filter(|&src| src != root)
+            .map(|src| self.recv(Some(src), TAG_GATHER).1)
+            .collect();
+        all.insert(root, payload);
+        Some(all)
     }
 
     // ------------------------------------------------------------------
@@ -459,33 +458,46 @@ mod tests {
         }
     }
 
-    fn gathered(out: &[Vec<Bytes>]) -> Vec<Vec<Vec<u8>>> {
-        out.iter()
-            .map(|per_rank| per_rank.iter().map(|b| b.to_vec()).collect())
-            .collect()
+    fn bytes(payloads: &[Bytes]) -> Vec<Vec<u8>> {
+        payloads.iter().map(|b| b.to_vec()).collect()
     }
 
     #[test]
-    fn allgather_delivers_rank_order_everywhere_with_uneven_and_empty_payloads() {
+    fn gather_delivers_rank_order_to_the_root_only_with_uneven_and_empty_payloads() {
         // Rank r contributes r bytes of value r: rank 0's payload is empty.
+        // Rooted at 0 and at 2 (whose own payload is non-empty).
         let n = 4;
         let want: Vec<Vec<u8>> = (0..n).map(|r| vec![r as u8; r]).collect();
-        let out = Universe::run(n, None, |comm| {
-            let mine = vec![comm.rank() as u8; comm.rank()];
-            comm.allgather(mine)
-        });
-        for per_rank in gathered(&out) {
-            assert_eq!(per_rank, want);
+        for root in [0, 2] {
+            let out = Universe::run(n, None, |comm| {
+                let mine = vec![comm.rank() as u8; comm.rank()];
+                (comm.gather(root, mine), comm.stats())
+            });
+            for (rank, (got, stats)) in out.iter().enumerate() {
+                match got {
+                    Some(got) => {
+                        assert_eq!(rank, root);
+                        assert_eq!(bytes(got), want);
+                        assert_eq!(stats.msgs_sent, 0, "the root sends nothing");
+                    }
+                    None => {
+                        assert_ne!(rank, root, "the root must get the payloads");
+                        assert_eq!(stats.msgs_sent, 1);
+                        assert_eq!(stats.bytes_sent, rank as u64);
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn allgather_on_one_rank_returns_its_own_payload_without_traffic() {
+    fn gather_on_one_rank_returns_its_own_payload_without_traffic() {
         let out = Universe::run(1, None, |comm| {
-            let got = comm.allgather(vec![9u8, 8, 7]);
+            let got = comm.gather(0, vec![9u8, 8, 7]);
             (got, comm.stats())
         });
         let (got, stats) = &out[0];
+        let got = got.as_ref().expect("one rank is its own root");
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0][..], &[9, 8, 7]);
         assert_eq!(stats.msgs_sent, 0);
@@ -493,26 +505,33 @@ mod tests {
     }
 
     #[test]
-    fn allgather_under_the_network_model_keeps_order_across_rounds() {
-        // Two back-to-back rounds with delayed delivery: per-source FIFO
-        // must keep round 1's payloads out of round 0's result.
+    fn gather_under_the_network_model_keeps_order_across_rounds() {
+        // Two back-to-back rounds with delayed delivery, to different
+        // roots: per-source FIFO must keep round 1's payloads out of round
+        // 0's result.
         let n = 3;
         let out = Universe::run(n, Some(NetModel::test_cluster()), |comm| {
             let r = comm.rank() as u8;
-            let first = comm.allgather(vec![r; 2 * comm.rank() + 1]);
-            let second = comm.allgather(vec![r + 10; 1000 * (n - comm.rank())]);
+            let first = comm.gather(1, vec![r; 2 * comm.rank() + 1]);
+            let second = comm.gather(0, vec![r + 10; 1000 * (n - comm.rank())]);
             (first, second, comm.stats())
         });
-        for (first, second, stats) in &out {
-            for (src, (a, b)) in first.iter().zip(second).enumerate() {
-                assert_eq!(a.to_vec(), vec![src as u8; 2 * src + 1]);
-                assert_eq!(b.to_vec(), vec![src as u8 + 10; 1000 * (n - src)]);
-            }
-            assert_eq!(stats.msgs_sent, 2 * (n as u64 - 1));
+        for (rank, (first, second, _)) in out.iter().enumerate() {
+            assert_eq!(first.is_some(), rank == 1);
+            assert_eq!(second.is_some(), rank == 0);
         }
-        // Each rank sends its own payload once per peer.
-        let sent: Vec<u64> = out.iter().map(|o| o.2.bytes_sent).collect();
-        assert_eq!(sent, vec![2 * (1 + 3000), 2 * (3 + 2000), 2 * (5 + 1000)]);
+        let first = out[1].0.as_ref().unwrap();
+        let second = out[0].1.as_ref().unwrap();
+        for src in 0..n {
+            assert_eq!(first[src].to_vec(), vec![src as u8; 2 * src + 1]);
+            assert_eq!(second[src].to_vec(), vec![src as u8 + 10; 1000 * (n - src)]);
+        }
+        // Each rank sends its own payload once per round it is not root.
+        let sent: Vec<(u64, u64)> = out
+            .iter()
+            .map(|o| (o.2.msgs_sent, o.2.bytes_sent))
+            .collect();
+        assert_eq!(sent, vec![(1, 1), (1, 2000), (2, 5 + 1000)]);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //! overlap accounting — is written against [`Comm`], whose surface
 //! deliberately mirrors the MPI calls the paper names (buffered `send`,
 //! blocking and polling receive, barrier, and the collectives
-//! `allreduce` (sum and max, reduced in rank order) and `allgather`).
+//! `allreduce` (sum and max, reduced in rank order) and a rooted
+//! `gather`).
 //! [`wire`] is the little-endian `f64` codec every payload goes through.
 //!
 //! # Example

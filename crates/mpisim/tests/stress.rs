@@ -62,7 +62,7 @@ fn interleaved_collectives_and_p2p_do_not_cross_talk() {
     let n = 4;
     let out = Universe::run(n, None, |comm| {
         let me = comm.rank();
-        // P2P ring + allreduce + allgather, repeated; values must stay aligned.
+        // P2P ring + allreduce + gather, repeated; values must stay aligned.
         let mut acc = 0.0f64;
         for round in 0..10u64 {
             comm.send((me + 1) % n, 5, &[(round as u8).wrapping_add(me as u8)]);
@@ -71,14 +71,22 @@ fn interleaved_collectives_and_p2p_do_not_cross_talk() {
             // Σ(r + round) over ranks = n*round + n(n-1)/2
             assert_eq!(buf[0], (n * (n - 1) / 2) as f64 + (n as u64 * round) as f64);
             // Rank r contributes r + 1 bytes of `round + r`: uneven payloads
-            // sent while the ring message is still unreceived.
-            let gathered = comm.allgather(vec![(round as u8).wrapping_add(me as u8); me + 1]);
-            for (src, payload) in gathered.iter().enumerate() {
-                assert_eq!(
-                    payload.to_vec(),
-                    vec![(round as u8).wrapping_add(src as u8); src + 1],
-                    "round {round}: payload from rank {src}"
-                );
+            // sent while the ring message is still unreceived, to a root
+            // that moves round by round (rank 0 included).
+            let root = round as usize % n;
+            match comm.gather(root, vec![(round as u8).wrapping_add(me as u8); me + 1]) {
+                Some(gathered) => {
+                    assert_eq!(me, root);
+                    assert_eq!(gathered.len(), n);
+                    for (src, payload) in gathered.iter().enumerate() {
+                        assert_eq!(
+                            payload.to_vec(),
+                            vec![(round as u8).wrapping_add(src as u8); src + 1],
+                            "round {round}: payload from rank {src}"
+                        );
+                    }
+                }
+                None => assert_ne!(me, root, "round {round}: the root got nothing"),
             }
             let (_, data) = comm.recv(Some((me + n - 1) % n), 5);
             assert_eq!(
