@@ -40,7 +40,6 @@ use bpmf::{
     NoSnapshot, PosteriorModel, Recommender, SgldConfig, SgldSampler, TrainData, Trainer,
 };
 use bpmf_sched::ItemRunner;
-use bpmf_sparse::Csr;
 
 use crate::als::{AlsConfig, AlsTrainer};
 use crate::model::MfModel;
@@ -149,39 +148,6 @@ impl Recommender for MfModel {
     }
 }
 
-/// Reject spec features the point estimators cannot honor.
-fn reject_unsupported(spec: &Bpmf, algorithm: Algorithm) -> Result<(), BpmfError> {
-    if spec.user_side_info.is_some() || spec.movie_side_info.is_some() {
-        return Err(BpmfError::Unsupported {
-            algorithm,
-            feature: "side information",
-        });
-    }
-    if spec.resume.is_some() {
-        return Err(BpmfError::Unsupported {
-            algorithm,
-            feature: "checkpoint resume",
-        });
-    }
-    Ok(())
-}
-
-/// The resident CSR pair behind a [`TrainData`], or a typed refusal: the
-/// point estimators shuffle or sweep the whole matrix and cannot stream
-/// it from an out-of-core store.
-fn require_resident<'a>(
-    data: &TrainData<'a>,
-    algorithm: Algorithm,
-) -> Result<(&'a Csr, &'a Csr), BpmfError> {
-    match (data.r.as_csr(), data.rt.as_csr()) {
-        (Some(r), Some(rt)) => Ok((r, rt)),
-        _ => Err(BpmfError::Unsupported {
-            algorithm,
-            feature: "out-of-core rating stores",
-        }),
-    }
-}
-
 fn baseline_iter_stats(iter: usize, rmse: f64, secs: f64, items: usize) -> IterStats {
     IterStats {
         iter,
@@ -242,8 +208,8 @@ impl Trainer for AlsRecommenderTrainer {
         runner: &dyn ItemRunner,
         callback: &mut dyn IterCallback,
     ) -> Result<FitReport, BpmfError> {
-        reject_unsupported(&self.spec, Algorithm::Als)?;
-        let (r, rt) = require_resident(data, Algorithm::Als)?;
+        self.spec.refuse_gibbs_only(Algorithm::Als)?;
+        let (r, rt) = data.resident(Algorithm::Als)?;
         let cfg = self.config();
         let sweeps = cfg.sweeps;
         let mut trainer = AlsTrainer::new(cfg, r, rt);
@@ -336,8 +302,8 @@ impl Trainer for SgdRecommenderTrainer {
         runner: &dyn ItemRunner,
         callback: &mut dyn IterCallback,
     ) -> Result<FitReport, BpmfError> {
-        reject_unsupported(&self.spec, Algorithm::Sgd)?;
-        let (r, _) = require_resident(data, Algorithm::Sgd)?;
+        self.spec.refuse_gibbs_only(Algorithm::Sgd)?;
+        let (r, _) = data.resident(Algorithm::Sgd)?;
         let cfg = self.config();
         let epochs = cfg.epochs;
         let threads = runner.threads().max(1);
@@ -446,7 +412,7 @@ impl Trainer for SgmcmcRecommenderTrainer {
         _runner: &dyn ItemRunner,
         callback: &mut dyn IterCallback,
     ) -> Result<FitReport, BpmfError> {
-        reject_unsupported(&self.spec, Algorithm::Sgmcmc)?;
+        self.spec.refuse_gibbs_only(Algorithm::Sgmcmc)?;
         let cfg = self.config();
         let total = cfg.burnin + cfg.samples;
         let mut sampler = SgldSampler::try_new(cfg, *data)?;

@@ -1195,6 +1195,20 @@ impl Bpmf {
         }
     }
 
+    /// Refuse, for any `algorithm` but Gibbs, the spec features only the
+    /// shared-memory Gibbs chain honors: side information and checkpoint
+    /// resume.
+    pub fn refuse_gibbs_only(&self, algorithm: Algorithm) -> Result<(), BpmfError> {
+        let feature = if self.user_side_info.is_some() || self.movie_side_info.is_some() {
+            "side information"
+        } else if self.resume.is_some() {
+            "checkpoint resume"
+        } else {
+            return Ok(());
+        };
+        Err(BpmfError::Unsupported { algorithm, feature })
+    }
+
     /// Instantiate the configured runtime.
     pub fn runner(&self) -> Box<dyn ItemRunner> {
         self.engine.build(self.threads)

@@ -1,38 +1,27 @@
 //! Distributed BPMF over the message-passing runtime (paper §IV).
 //!
-//! Reproduces the paper's design decisions faithfully:
+//! Every rank runs the shared-memory sampler's chain step — hyper(movies)
+//! → sweep movies → hyper(users) → sweep users → record — with the ranked
+//! seams in place of the shared-memory ones:
 //!
-//! * **Data distribution** (§IV-B): `U` and `V` are split into consecutive
-//!   regions balanced by [`WorkModel::default`] — fixed cost + cost per
-//!   rating, calibrated on the current item-update kernels, with a row that
-//!   has no ratings priced as the single prior draw it costs. Optionally `R`
-//!   is first reordered with reverse Cuthill–McKee so connected items land
-//!   in the same region and cross-rank traffic shrinks.
-//! * **Updates and communication** (§IV-C): when a rank finishes an item it
-//!   appends the new factor row to a per-destination buffer and ships the
-//!   buffer only when full — "the overhead of calling these routines is too
-//!   much to individually send each item". Receivers poll between their own
-//!   updates and apply incoming rows immediately, overlapping communication
-//!   with computation.
-//! * **Phase alignment without barriers**: each rank knows from the
-//!   communication plan exactly how many items it must receive from every
-//!   peer per sweep; together with per-source FIFO ordering this keeps fully
-//!   asynchronous iterations aligned (a rank can run ahead, but nobody can
-//!   consume a future iteration's items).
-//! * **Replicated hyperparameter sampling**: sufficient statistics are
-//!   all-reduced (deterministic rank-ordered reduction) and every rank draws
-//!   the identical `(μ, Λ)` from a replicated RNG stream.
-//! * **Posterior gather**: after the last iteration each rank frees its
-//!   replicated factors, plans and matrix copies, then ships the rows it
-//!   owns of the posterior means and second moments, averaged and encoded
-//!   in one pass, to rank 0 in a single [`Comm::gather`]. Rank 0 alone
-//!   assembles the full matrices in the caller's original (pre-RCM) row
-//!   order, its own rows straight from its sums; the other ranks hold no
-//!   full-size output.
+//! * **Hyper draws** sum the sufficient statistics of the rank's own rows
+//!   and all-reduce them (rank-ordered, so deterministic): every rank draws
+//!   the identical `(μ, Λ)` from its replicated hyper stream.
+//! * **Sweeps** draw only the rank's consecutive region of `U` or `V`,
+//!   balanced by [`WorkModel::default`] after an optional reverse
+//!   Cuthill–McKee reordering (§IV-B). A finished row is appended to a
+//!   per-destination buffer shipped only when full, and incoming rows are
+//!   applied between updates (§IV-C). Per-source quotas from the
+//!   communication plan keep asynchronous iterations aligned without
+//!   barriers.
+//! * **Squared errors** of the rank's own test points are all-reduced, so
+//!   every rank reports the identical RMSE pair. Test edges are in the
+//!   plan, so the counterpart rows they read are fresh.
 //!
-//! Test-set edges are included in the communication plan, so every rank
-//! holds fresh values for exactly the counterpart rows its held-out points
-//! need — RMSE traces are bit-identical on every rank.
+//! After the last iteration each rank frees its replicated chain, plans
+//! and matrix copies, then ships the averaged rows it owns of the
+//! posterior means and second moments to rank 0 in one [`Comm::gather`].
+//! Rank 0 alone assembles them, in the caller's original row order.
 
 use std::borrow::Cow;
 use std::time::Instant;
@@ -47,15 +36,14 @@ use serde::{Deserialize, Serialize};
 use crate::api::{
     Algorithm, Bpmf, FitControl, IterCallback, NoSnapshot, PosteriorModel, Recommender, Trainer,
 };
+use crate::chain::{Chain, Seams, Side};
 use crate::checkpoint::FlatMat;
 use crate::config::BpmfConfig;
 use crate::error::BpmfError;
 use crate::model::SideState;
-use crate::posterior::PosteriorAccumulator;
 use crate::report::{FitReport, IterStats};
 use crate::sampler::TrainData;
 use crate::update::{ItemDraw, PriorParts, Workers};
-use bpmf_linalg::MatWriter;
 
 const TAG_USER_ITEMS: Tag = 1;
 const TAG_MOVIE_ITEMS: Tag = 2;
@@ -239,17 +227,23 @@ pub fn run_rank(
     };
     let comm_volume_items = user_plan.total_sends() + movie_plan.total_sends();
 
-    // ---- Replicated state, rank-disjoint update RNG streams. -------------
-    let mut init_rng = Xoshiro256pp::seed_from_u64(cfg.base.seed);
-    let mut users = SideState::init(r.nrows(), k, &mut init_rng);
-    let mut movies = SideState::init(r.ncols(), k, &mut init_rng);
-    let mut hyper_rng = Xoshiro256pp::seed_from_u64(cfg.base.seed ^ 0x9E37_79B9);
-    let update_rng = {
-        let mut streams = Xoshiro256pp::rank_streams(cfg.base.seed ^ 0x5851_F42D, size);
-        streams.swap_remove(rank)
+    // ---- Replicated chain, rank-disjoint update RNG streams. -------------
+    // One worker on the rank's own stream, or — hybrid mode (§IV-A) — a
+    // per-rank work-stealing pool whose streams are `jump`-separated
+    // sub-streams of the rank stream, so ranks stay disjoint from each
+    // other and workers within a rank disjoint from one another.
+    let mut rank_rng =
+        Xoshiro256pp::rank_streams(cfg.base.seed ^ 0x5851_F42D, size).swap_remove(rank);
+    let threads = cfg.threads_per_rank;
+    let (pool, streams) = if threads <= 1 {
+        (None, vec![rank_rng])
+    } else {
+        let streams = (0..threads).map(|_| {
+            rank_rng.jump();
+            rank_rng.clone()
+        });
+        (Some(WorkStealingPool::new(threads)), streams.collect())
     };
-    let workers = RankWorkers::new(update_rng, cfg.threads_per_rank, k);
-
     // Test points this rank evaluates: those whose user row it owns.
     let my_test: Vec<(u32, u32, f64)> = test
         .iter()
@@ -259,11 +253,11 @@ pub fn run_rank(
     // Posterior sums sized to the rank's *owned* rows (the partition covers
     // every row exactly once, so the end-of-run gather assembles complete
     // posterior means for serving).
-    let mut posterior = PosteriorAccumulator::new(
-        cfg.base.burnin,
+    let mut chain = Chain::new(
+        &cfg.base,
+        (r.nrows(), r.ncols()),
         my_test.len(),
         global_mean,
-        cfg.base.rating_bounds,
     )
     .owning(user_parts.range(rank), movie_parts.range(rank));
 
@@ -275,70 +269,42 @@ pub fn run_rank(
     comm.reset_accounting();
     let t0 = Instant::now();
 
-    for iter in 0..iterations {
-        // -------- movie phase (Algorithm 1 order) -------------------------
-        sample_hyper_replicated(comm, &mut movies, movie_parts.range(rank), &mut hyper_rng);
-        let prior = movies.prior_parts();
-        sweep_side(
-            comm,
-            &mut movies.items,
-            &workers.draw(
-                cfg,
-                &prior,
-                global_mean,
-                &rt,
-                movie_parts.range(rank),
-                &users.items,
-            ),
-            &workers,
-            &movie_plan,
-            &movie_parts,
-            cfg,
-            TAG_MOVIE_ITEMS,
-        );
-
-        // -------- user phase ----------------------------------------------
-        sample_hyper_replicated(comm, &mut users, user_parts.range(rank), &mut hyper_rng);
-        let prior = users.prior_parts();
-        sweep_side(
-            comm,
-            &mut users.items,
-            &workers.draw(
-                cfg,
-                &prior,
-                global_mean,
-                &r,
-                user_parts.range(rank),
-                &movies.items,
-            ),
-            &workers,
-            &user_plan,
-            &user_parts,
-            cfg,
-            TAG_USER_ITEMS,
-        );
-
-        // -------- evaluation ----------------------------------------------
-        // Rank-local squared errors, then a deterministic all-reduce: every
-        // rank reports the identical RMSE pair.
-        let mut se = posterior.record(iter, &users.items, &movies.items, &my_test);
-        comm.allreduce_sum_f64(&mut se);
-        let (rmse_sample, rmse_mean) = posterior.rmse(se, test.len());
+    let mut ranked = Ranked {
+        comm: &mut *comm,
+        cfg,
+        global_mean,
+        pool,
+        streams: Workers::new(streams, k),
+        users: RankSide {
+            ratings: &r,
+            parts: &user_parts,
+            plan: user_plan,
+            tag: TAG_USER_ITEMS,
+        },
+        movies: RankSide {
+            ratings: &rt,
+            parts: &movie_parts,
+            plan: movie_plan,
+            tag: TAG_MOVIE_ITEMS,
+        },
+    };
+    for _ in 0..iterations {
+        let ((rmse_sample, rmse_mean), _) = chain.step(&mut ranked, &my_test, test.len());
         rmse_sample_trace.push(rmse_sample);
         rmse_mean_trace.push(rmse_mean);
     }
 
-    comm.barrier();
+    ranked.comm.barrier();
     let elapsed = t0.elapsed().as_secs_f64();
     let mut slowest = [elapsed];
-    comm.allreduce_max_f64(&mut slowest);
+    ranked.comm.allreduce_max_f64(&mut slowest);
     let total_items = ((r.nrows() + r.ncols()) * iterations) as f64;
 
     // Nothing reads the replicated factors, the workers, the plans or the
     // (reordered) matrices again: free them before the gather allocates.
-    drop((
-        users, movies, workers, user_plan, movie_plan, r, rt, test, my_test,
-    ));
+    drop(ranked);
+    let posterior = chain.into_posterior();
+    drop((r, rt, test, my_test));
 
     // ---- Posterior-factor gather (outside the timed loop). ---------------
     // Each rank ships only its owned rows, averaged, to rank 0, which
@@ -489,151 +455,140 @@ fn union_structure(r: &Csr, test: &[(u32, u32, f64)]) -> Csr {
     Csr::from_coo_owned(coo)
 }
 
-/// All-reduce sufficient statistics over the rank's own rows, then draw the
-/// identical hyperparameter sample everywhere.
-fn sample_hyper_replicated(
-    comm: &mut Comm<'_>,
-    side: &mut SideState,
-    own: std::ops::Range<usize>,
-    hyper_rng: &mut Xoshiro256pp,
-) {
-    let k = side.k();
-    let mut stats = SuffStats::new(k);
-    stats.add_rows(&side.items.as_slice()[own.start * k..own.end * k]);
-    let mut flat = stats.to_flat();
-    comm.allreduce_sum_f64(&mut flat);
-    let global = SuffStats::from_flat(k, &flat);
-    side.apply_hyper_from_stats(&global, hyper_rng);
+/// One side of a rank's layout: the ratings swept (one row per item), the
+/// partition of the side's rows across ranks, the plan that ships them, and
+/// their message tag.
+struct RankSide<'a> {
+    ratings: &'a Csr,
+    parts: &'a BlockPartition,
+    plan: CommPlan,
+    tag: Tag,
 }
 
-/// The rank's item-drawing workers: one worker on the rank's own stream,
-/// or — hybrid mode (§IV-A) — a per-rank work-stealing pool that computes
-/// item batches while the rank's main thread keeps communication funneled.
-/// Pool streams are `jump`-separated sub-streams of the rank stream, so
-/// ranks stay disjoint from each other and workers within a rank disjoint
-/// from one another.
-struct RankWorkers {
+/// A rank's [`Seams`]: statistics over the owned rows all-reduced, a sweep
+/// of the owned rows with the §IV-C item exchange, and squared errors
+/// all-reduced. Every reduction is rank-ordered, so every rank draws the
+/// identical `(μ, Λ)` from its replicated hyper stream and reports the
+/// identical RMSE pair.
+struct Ranked<'c, 'w, 'a> {
+    comm: &'c mut Comm<'w>,
+    cfg: &'a DistConfig,
+    global_mean: f64,
+    /// The hybrid rank's pool, which computes item batches while the
+    /// rank's main thread keeps communication funneled.
     pool: Option<WorkStealingPool>,
+    /// One stream per worker (one in all without a pool).
     streams: Workers,
+    users: RankSide<'a>,
+    movies: RankSide<'a>,
 }
 
-impl RankWorkers {
-    fn new(rank_rng: Xoshiro256pp, threads: usize, k: usize) -> Self {
-        if threads <= 1 {
-            return RankWorkers {
-                pool: None,
-                streams: Workers::new(vec![rank_rng], k),
-            };
-        }
-        let mut base = rank_rng;
-        let streams = (0..threads)
-            .map(|_| {
-                base.jump();
-                base.clone()
-            })
-            .collect();
-        RankWorkers {
-            pool: Some(WorkStealingPool::new(threads)),
-            streams: Workers::new(streams, k),
-        }
+impl Seams for Ranked<'_, '_, '_> {
+    type Swept = ();
+
+    fn hyper_stats(&mut self, side: Side, state: &SideState) -> SuffStats {
+        let k = state.items.cols();
+        let parts = match side {
+            Side::Users => self.users.parts,
+            Side::Movies => self.movies.parts,
+        };
+        let own = parts.range(self.comm.rank());
+        let mut stats = SuffStats::new(k);
+        stats.add_rows(&state.items.as_slice()[own.start * k..own.end * k]);
+        let mut flat = stats.to_flat();
+        self.comm.allreduce_sum_f64(&mut flat);
+        SuffStats::from_flat(k, &flat)
     }
 
-    /// The sweep's item draw over the rank's own `rows`. Pool workers each
-    /// run a whole item, so their kernels stay single-threaded.
-    fn draw<'a>(
-        &self,
-        cfg: &DistConfig,
-        prior: &'a PriorParts,
-        global_mean: f64,
-        matrix: &'a Csr,
-        rows: std::ops::Range<usize>,
-        other: &'a Mat,
-    ) -> ItemDraw<'a> {
-        let mut draw = ItemDraw::new(&cfg.base, prior, global_mean, matrix, rows, other);
+    /// Update own items, ship them in buffered messages, poll+apply
+    /// incoming items between updates, then drain per-source quotas.
+    fn sweep(&mut self, side: Side, prior: &PriorParts, state: &mut SideState, other: &Mat) {
+        let (comm, cfg, streams) = (&mut *self.comm, self.cfg, &self.streams);
+        let RankSide {
+            ratings,
+            parts,
+            plan,
+            tag,
+        } = match side {
+            Side::Users => &self.users,
+            Side::Movies => &self.movies,
+        };
+        let (rank, size) = (comm.rank(), comm.size());
+        let range = parts.range(rank);
+        let mut draw = ItemDraw::new(
+            &cfg.base,
+            prior,
+            self.global_mean,
+            *ratings,
+            range.clone(),
+            other,
+        );
+        // Pool workers each run a whole item, so their kernels stay
+        // single-threaded.
         if self.pool.is_some() {
             draw.kernel_threads = 1;
         }
-        draw
-    }
-}
+        let items = &mut state.items;
+        let stride = items.cols() + 1; // item index + K factors per shipped row
+                                       // Items still expected from each source this sweep (per-source quota).
+        let mut outstanding: Vec<usize> =
+            (0..size).map(|src| plan.sends_between(src, rank)).collect();
+        outstanding[rank] = 0;
+        let mut exch = Exchange {
+            tag: *tag,
+            stride,
+            flush_len: cfg.send_buffer_items.max(1) * stride,
+            send_bufs: vec![Vec::new(); size],
+            outstanding,
+        };
 
-/// One side's sweep: update own items, ship them in buffered messages,
-/// poll+apply incoming items between updates, then drain per-source quotas.
-#[allow(clippy::too_many_arguments)]
-fn sweep_side(
-    comm: &mut Comm<'_>,
-    items: &mut Mat,
-    draw: &ItemDraw<'_>,
-    workers: &RankWorkers,
-    plan: &CommPlan,
-    parts: &BlockPartition,
-    cfg: &DistConfig,
-    tag: Tag,
-) {
-    let rank = comm.rank();
-    let size = comm.size();
-    let stride = items.cols() + 1; // item index + K factors per shipped row
-
-    let mut exch = Exchange {
-        tag,
-        stride,
-        flush_len: cfg.send_buffer_items.max(1) * stride,
-        send_bufs: vec![Vec::new(); size],
-    };
-    // Items still expected from each source this sweep (per-source quota).
-    let mut outstanding: Vec<usize> = (0..size).map(|src| plan.sends_between(src, rank)).collect();
-    outstanding[rank] = 0;
-
-    let range = parts.range(rank);
-    match &workers.pool {
-        None => {
-            // Sequential rank: update, buffer-send, poll — item by item.
-            for (count, item) in range.enumerate() {
-                let row = items.row_mut(item);
-                comm.compute(|| workers.streams.draw(draw, 0, item, row));
-                exch.ship(comm, items, plan, item);
-                if count % cfg.poll_every.max(1) == 0 {
-                    exch.poll(comm, items, &mut outstanding);
-                }
-            }
-        }
-        Some(pool) => {
-            // Hybrid rank (§IV-A): the pool computes item batches, the main
-            // thread funnels sends + receives between batches.
-            let batch = (cfg.threads_per_rank * 8).max(cfg.poll_every.max(1));
-            let mut start = range.start;
-            while start < range.end {
-                let end = (start + batch).min(range.end);
-                let writer = MatWriter::new(items);
-                comm.compute(|| {
-                    pool.run_items(end - start, None, None, &|worker, idx| {
-                        let item = start + idx;
-                        // SAFETY: the pool's exactly-once contract makes
-                        // batch-local indices (hence rows) disjoint.
-                        workers
-                            .streams
-                            .draw(draw, worker, item, unsafe { writer.row_mut(item) });
-                    });
-                });
-                for item in start..end {
+        match &self.pool {
+            None => {
+                // Sequential rank: update, buffer-send, poll — item by item.
+                for (count, item) in range.enumerate() {
+                    let row = items.row_mut(item);
+                    comm.compute(|| streams.draw(&draw, 0, item, row));
                     exch.ship(comm, items, plan, item);
+                    if count % cfg.poll_every.max(1) == 0 {
+                        exch.drain(comm, items, false);
+                    }
                 }
-                exch.poll(comm, items, &mut outstanding);
-                start = end;
+            }
+            Some(pool) => {
+                // Hybrid rank (§IV-A): the pool computes item batches, the
+                // main thread funnels sends + receives between batches.
+                let batch = (cfg.threads_per_rank * 8).max(cfg.poll_every.max(1));
+                let mut start = range.start;
+                while start < range.end {
+                    let end = (start + batch).min(range.end);
+                    comm.compute(|| streams.run(pool, &draw, items, start..end, None, None));
+                    for item in start..end {
+                        exch.ship(comm, items, plan, item);
+                    }
+                    exch.drain(comm, items, false);
+                    start = end;
+                }
             }
         }
+
+        exch.finish(comm, items);
     }
 
-    exch.finish(comm, items, &mut outstanding);
+    fn squared_errors(&mut self, mut se: [f64; 2]) -> [f64; 2] {
+        self.comm.allreduce_sum_f64(&mut se);
+        se
+    }
 }
 
-/// §IV-C's item exchange: per-destination buffers of `(index, row)`
-/// records over tagged two-sided messages.
+/// One sweep's §IV-C item exchange: per-destination buffers of
+/// `(index, row)` records over tagged two-sided messages, and the items
+/// still expected from each source (its quota from the plan).
 struct Exchange {
     tag: Tag,
     stride: usize,
     flush_len: usize,
     send_bufs: Vec<Vec<f64>>,
+    outstanding: Vec<usize>,
 }
 
 impl Exchange {
@@ -651,41 +606,33 @@ impl Exchange {
         }
     }
 
-    /// Non-blocking drain of whatever has arrived, bounded by per-source
-    /// quotas so a fast peer's *next-iteration* items are never consumed
-    /// early.
-    // `src` is simultaneously a rank id (for recv) and an index into the
-    // per-source quotas, so the indexed loop is the honest shape.
-    #[allow(clippy::needless_range_loop)]
-    fn poll(&mut self, comm: &mut Comm<'_>, items: &mut Mat, outstanding: &mut [usize]) {
-        for src in 0..outstanding.len() {
-            while outstanding[src] > 0 {
-                match comm.try_recv(Some(src), self.tag) {
-                    Some((_, bytes)) => {
-                        apply_items(items, &bytes, self.stride, &mut outstanding[src])
-                    }
-                    None => break,
-                }
+    /// Apply whatever has arrived, bounded by the per-source quotas so a
+    /// fast peer's *next-iteration* items are never consumed early; with
+    /// `block`, wait until every quota is met.
+    fn drain(&mut self, comm: &mut Comm<'_>, items: &mut Mat, block: bool) {
+        for (src, left) in self.outstanding.iter_mut().enumerate() {
+            while *left > 0 {
+                let got = if block {
+                    Some(comm.recv(Some(src), self.tag))
+                } else {
+                    comm.try_recv(Some(src), self.tag)
+                };
+                let Some((_, bytes)) = got else { break };
+                apply_items(items, &bytes, self.stride, left);
             }
         }
     }
 
     /// Flush anything still buffered, then block until every per-source
     /// quota for this sweep is met.
-    #[allow(clippy::needless_range_loop)]
-    fn finish(&mut self, comm: &mut Comm<'_>, items: &mut Mat, outstanding: &mut [usize]) {
+    fn finish(&mut self, comm: &mut Comm<'_>, items: &mut Mat) {
         for (dst, buf) in self.send_bufs.iter_mut().enumerate() {
             if !buf.is_empty() {
                 comm.send_bytes(dst, self.tag, wire::f64s_to_bytes(buf));
                 buf.clear();
             }
         }
-        for src in 0..outstanding.len() {
-            while outstanding[src] > 0 {
-                let (_, bytes) = comm.recv(Some(src), self.tag);
-                apply_items(items, &bytes, self.stride, &mut outstanding[src]);
-            }
-        }
+        self.drain(comm, items, true);
     }
 }
 
@@ -707,10 +654,12 @@ fn apply_items(items: &mut Mat, bytes: &[u8], stride: usize, outstanding: &mut u
 
 /// [`Trainer`] adapter over [`run_rank`]: `Bpmf::builder()
 /// .algorithm(Algorithm::Distributed)` spins up a simulated message-passing
-/// universe with `spec.threads` ranks, runs the paper's §IV driver on every
-/// rank, and leaves a [`PosteriorModel`] (gathered posterior-mean factors +
-/// second moments) behind for serving — the same serve path as the
-/// shared-memory Gibbs trainer.
+/// universe with `spec.threads` ranks, each running the Gibbs chain step
+/// with ranked seams (statistics and squared errors all-reduced, sweeps
+/// over the rank's own rows with the §IV-C item exchange), and leaves a
+/// [`PosteriorModel`] (gathered posterior-mean factors + second moments)
+/// behind for serving — the same serve path as the shared-memory Gibbs
+/// trainer.
 ///
 /// Execution notes:
 ///
@@ -721,6 +670,9 @@ fn apply_items(items: &mut Mat, bytes: &[u8], stride: usize, outstanding: &mut u
 ///   spec's `engine` and `kernel_threads` do not apply here: parallelism
 ///   comes from the ranks, each running one kernel thread (see
 ///   [`DistributedTrainer::dist_config`]);
+/// * side information, checkpoint resume and out-of-core stores are typed
+///   [`BpmfError::Unsupported`] refusals, the same ones the point
+///   estimators give;
 /// * ranks iterate to completion as one SPMD program, so the callback is
 ///   *replayed* from the per-iteration traces after the run: stats
 ///   streaming works unchanged, and [`FitControl::Stop`] truncates the
@@ -790,27 +742,10 @@ impl Trainer for DistributedTrainer {
         _runner: &dyn ItemRunner,
         callback: &mut dyn IterCallback,
     ) -> Result<FitReport, BpmfError> {
-        if self.spec.user_side_info.is_some() || self.spec.movie_side_info.is_some() {
-            return Err(BpmfError::Unsupported {
-                algorithm: Algorithm::Distributed,
-                feature: "side information",
-            });
-        }
-        if self.spec.resume.is_some() {
-            return Err(BpmfError::Unsupported {
-                algorithm: Algorithm::Distributed,
-                feature: "checkpoint resume",
-            });
-        }
+        self.spec.refuse_gibbs_only(Algorithm::Distributed)?;
         // The distributed driver partitions and exchanges whole regions of
-        // the matrix across ranks; it needs the resident CSR, not a
-        // streaming store.
-        let (Some(r), Some(rt)) = (data.r.as_csr(), data.rt.as_csr()) else {
-            return Err(BpmfError::Unsupported {
-                algorithm: Algorithm::Distributed,
-                feature: "out-of-core rating stores",
-            });
-        };
+        // the matrix across ranks; it needs the resident CSR.
+        let (r, rt) = data.resident(Algorithm::Distributed)?;
         let cfg = Self::dist_config(&self.spec);
         let ranks = Self::ranks(&self.spec);
         let t0 = Instant::now();

@@ -19,10 +19,15 @@
 //!   of panics;
 //! * [`GibbsSampler`] — the sampler itself: Normal–Wishart hyperparameter
 //!   resampling, per-item conditional updates, RMSE tracking with posterior
-//!   averaging. The Gibbs, distributed and SGLD chains share one posterior
-//!   accumulator (burn-in gate, factor means and second moments, test
-//!   predictions, the per-iteration RMSE pair), and the two sweeping chains
-//!   share one per-item draw;
+//!   averaging. It and every distributed rank run one chain step in
+//!   Algorithm 1's order, differing only in three seams: the hyper draw's
+//!   sufficient statistics (every row, or a rank's own rows all-reduced),
+//!   the sweep (over an [`bpmf_sched::ItemRunner`], or a rank's own rows
+//!   with the item exchange) and the squared errors (as is, or
+//!   all-reduced). The Gibbs, distributed and SGLD chains share one
+//!   posterior accumulator (burn-in gate, factor means and second moments,
+//!   test predictions, the per-iteration RMSE pair), and the two sweeping
+//!   chains share one per-item draw;
 //! * the three item-update kernels of the paper's Fig. 2 — the light
 //!   kernel ([`UpdateMethod::RankOne`], an exact low-rank draw in the
 //!   prior's whitened coordinates), [`UpdateMethod::CholSerial`] and
@@ -30,12 +35,13 @@
 //! * multicore execution over any [`bpmf_sched::ItemRunner`] — work-stealing
 //!   (TBB-like), static chunks (OpenMP-like) or the GraphLab-like vertex
 //!   engine ([`EngineKind`]);
-//! * the distributed driver ([`distributed`]) over the message-passing
-//!   runtime: workload-model partitioning, cross-rank item exchange with
-//!   buffered asynchronous sends, barrier-free phase alignment via
-//!   per-source quotas, Fig. 5 overlap accounting, and the
-//!   [`DistributedTrainer`] facade adapter ([`Algorithm::Distributed`])
-//!   with end-of-run posterior-factor gathering for serving;
+//! * distributed BPMF ([`distributed`]): the Gibbs chain step with
+//!   ranked seams over the message-passing runtime — workload-model
+//!   partitioning, cross-rank item exchange with buffered asynchronous
+//!   sends, barrier-free phase alignment via per-source quotas, Fig. 5
+//!   overlap accounting — and the [`DistributedTrainer`] facade adapter
+//!   ([`Algorithm::Distributed`]) with end-of-run posterior-factor
+//!   gathering for serving;
 //! * the serving layer ([`serve`]) — [`serve::RecommendService`]: batched
 //!   scoring through the blocked linalg kernels, top-N recommendation with
 //!   candidate filtering (exclude-seen, allow/deny lists, min-support),
@@ -383,6 +389,7 @@
 
 mod api;
 mod callbacks;
+mod chain;
 pub mod checkpoint;
 mod config;
 pub mod diagnostics;

@@ -1,8 +1,10 @@
-//! Per-side state: factor matrix and its Normal–Wishart hyperparameters.
+//! Per-side state: factor matrix, its Normal–Wishart hyperparameters and
+//! any side information's link.
 
 use bpmf_linalg::Mat;
 use bpmf_stats::{normal, NormalWishart, SuffStats, Xoshiro256pp};
 
+use crate::sideinfo::FeatureSideInfo;
 use crate::update::PriorParts;
 
 /// One side of the factorization (users or movies): the current factor
@@ -15,8 +17,9 @@ pub(crate) struct SideState {
     pub mu: Vec<f64>,
     /// Current prior precision sample `Λ` (full symmetric).
     pub lambda: Mat,
-    /// Fixed Normal–Wishart hyperprior.
-    pub hyperprior: NormalWishart,
+    /// Macau-style side information, whose link shifts every item's prior
+    /// mean by its feature-predicted offset.
+    pub link: Option<FeatureSideInfo>,
 }
 
 impl SideState {
@@ -28,35 +31,23 @@ impl SideState {
             items,
             mu: vec![0.0; k],
             lambda: Mat::identity(k),
-            hyperprior: NormalWishart::default_for_dim(k),
+            link: None,
         }
     }
 
-    /// Latent dimension.
-    pub fn k(&self) -> usize {
-        self.items.cols()
-    }
-
-    /// Resample `(μ, Λ)` from the Normal–Wishart posterior given the current
-    /// factors (Algorithm 1's "sample hyper-parameters" step).
-    pub fn sample_hyper(&mut self, rng: &mut Xoshiro256pp) {
-        let stats = SuffStats::from_rows(&self.items);
-        self.apply_hyper_from_stats(&stats, rng);
-    }
-
-    /// Resample hyperparameters from externally accumulated statistics (the
-    /// distributed path all-reduces [`SuffStats`] first so every rank draws
-    /// the identical sample from its replicated hyper-RNG stream).
-    pub fn apply_hyper_from_stats(&mut self, stats: &SuffStats, rng: &mut Xoshiro256pp) {
-        let posterior = self.hyperprior.posterior(stats);
-        let (mu, lambda) = posterior.sample(rng);
-        self.mu = mu;
-        self.lambda = lambda;
-    }
-
-    /// Per-sweep prior quantities: `Λ`, `Λμ` and `chol(Λ)`.
-    pub fn prior_parts(&self) -> PriorParts {
-        PriorParts::new(&self.mu, &self.lambda)
+    /// Draw `(μ, Λ)` from the posterior of the fixed Normal–Wishart
+    /// hyperprior given `stats` (Algorithm 1's "sample hyper-parameters"
+    /// step) and return the sweep's prior parts. With side information
+    /// the link matrix is redrawn next, from the same stream (Macau's
+    /// order).
+    pub fn draw_hyper(&mut self, stats: &SuffStats, rng: &mut Xoshiro256pp) -> PriorParts {
+        let hyperprior = NormalWishart::default_for_dim(self.mu.len());
+        (self.mu, self.lambda) = hyperprior.posterior(stats).sample(rng);
+        let prior = PriorParts::new(&self.mu, &self.lambda);
+        if let Some(si) = &mut self.link {
+            si.resample_beta(&self.items, &self.mu, prior.derivatives().1, rng);
+        }
+        prior
     }
 }
 
@@ -69,7 +60,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(1);
         let side = SideState::init(10, 4, &mut rng);
         assert_eq!(side.items.rows(), 10);
-        assert_eq!(side.k(), 4);
+        assert_eq!(side.items.cols(), 4);
         assert_eq!(side.mu.len(), 4);
         assert_eq!(side.lambda.rows(), 4);
     }
@@ -85,7 +76,7 @@ mod tests {
                 side.items[(i, j)] = normal(&mut rng, 0.0, 2.0);
             }
         }
-        side.sample_hyper(&mut rng);
+        side.draw_hyper(&SuffStats::from_rows(&side.items), &mut rng);
         for i in 0..3 {
             let l = side.lambda[(i, i)];
             assert!((0.15..0.4).contains(&l), "Λ[{i}{i}] = {l}");
@@ -96,8 +87,7 @@ mod tests {
     fn prior_derivatives_are_consistent() {
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut side = SideState::init(100, 4, &mut rng);
-        side.sample_hyper(&mut rng);
-        let parts = side.prior_parts();
+        let parts = side.draw_hyper(&SuffStats::from_rows(&side.items), &mut rng);
         let (lambda_mu, chol) = parts.derivatives();
         let recomputed = side.lambda.matvec(&side.mu);
         for (a, b) in lambda_mu.iter().zip(&recomputed) {

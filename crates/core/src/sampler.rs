@@ -1,22 +1,31 @@
-//! The Gibbs sampler (Algorithm 1 of the paper) over a pluggable runtime.
+//! The shared-memory Gibbs sampler (Algorithm 1 of the paper) over a
+//! pluggable runtime.
+//!
+//! [`GibbsSampler`] is a [`Chain`] with the shared-memory seams: every hyper
+//! draw sees every row (the residual rows around the feature-predicted
+//! means when side information is attached), every sweep draws every row
+//! over an [`ItemRunner`], and the squared errors need no reduction. The
+//! distributed ranks run the same [`Chain::step`] with their own seams
+//! (see [`crate::distributed`]).
 
 use std::fmt;
 
 use bpmf_linalg::{vecops, Mat};
 use bpmf_sched::{Adjacency, ItemRunner, RunStats};
-use bpmf_sparse::WorkModel;
-use bpmf_stats::Xoshiro256pp;
+use bpmf_sparse::{Csr, WorkModel};
+use bpmf_stats::{SuffStats, Xoshiro256pp};
 
-use crate::api::PosteriorModel;
+use crate::api::{Algorithm, PosteriorModel};
+use crate::chain::{Chain, Seams, Side};
+use crate::checkpoint::FlatMat;
 use crate::config::BpmfConfig;
+use crate::error::BpmfError;
 use crate::model::SideState;
 use crate::posterior::{PosteriorAccumulator, PredictionSummary};
 use crate::report::{IterStats, TrainReport};
 use crate::sideinfo::FeatureSideInfo;
 use crate::store::{store_row_weights, RatingStore};
 use crate::update::{ItemDraw, PriorParts, Workers};
-use bpmf_linalg::MatWriter;
-use bpmf_stats::SuffStats;
 
 /// Borrowed training inputs: the rating matrix in both orientations, its
 /// global mean, and the held-out test points.
@@ -58,8 +67,7 @@ impl<'a> TrainData<'a> {
         rt: &'a dyn RatingStore,
         global_mean: f64,
         test: &'a [(u32, u32, f64)],
-    ) -> Result<Self, crate::BpmfError> {
-        use crate::BpmfError;
+    ) -> Result<Self, BpmfError> {
         if r.nrows() != rt.ncols() || r.ncols() != rt.nrows() || r.nnz() != rt.nnz() {
             return Err(BpmfError::NotTranspose {
                 r: (r.nrows(), r.ncols(), r.nnz()),
@@ -85,6 +93,19 @@ impl<'a> TrainData<'a> {
         })
     }
 
+    /// The resident CSR pair behind both orientations, or a typed refusal
+    /// for an `algorithm` that cannot stream the matrix from an
+    /// out-of-core store.
+    pub fn resident(&self, algorithm: Algorithm) -> Result<(&'a Csr, &'a Csr), BpmfError> {
+        match (self.r.as_csr(), self.rt.as_csr()) {
+            (Some(r), Some(rt)) => Ok((r, rt)),
+            _ => Err(BpmfError::Unsupported {
+                algorithm,
+                feature: "out-of-core rating stores",
+            }),
+        }
+    }
+
     /// Validate and bundle the inputs, panicking on invalid shapes. Legacy
     /// entry point; library code should prefer [`TrainData::try_new`].
     pub fn new(
@@ -100,58 +121,87 @@ impl<'a> TrainData<'a> {
     }
 }
 
-enum Side {
-    Users,
-    Movies,
+/// The shared-memory sampler's [`Seams`]: statistics over every row, a
+/// sweep of every row over an [`ItemRunner`], and nothing to reduce.
+struct Local<'s, 'a> {
+    cfg: &'s BpmfConfig,
+    data: &'s TrainData<'a>,
+    workers: &'s Workers,
+    user_weights: &'s [f64],
+    movie_weights: &'s [f64],
+    runner: &'s dyn ItemRunner,
 }
 
-/// One side's hyperparameter step: plain Normal–Wishart from the factors,
-/// or — with side information attached — from the residuals around the
-/// feature-predicted prior means, followed by a fresh link-matrix draw.
-/// Returns the new prior's per-sweep parts.
-fn resample_hyper(
-    state: &mut SideState,
-    side_info: &mut Option<FeatureSideInfo>,
-    rng: &mut Xoshiro256pp,
-) -> PriorParts {
-    match side_info {
-        None => {
-            state.sample_hyper(rng);
-            state.prior_parts()
+impl Seams for Local<'_, '_> {
+    type Swept = RunStats;
+
+    fn hyper_stats(&mut self, _: Side, state: &SideState) -> SuffStats {
+        match &state.link {
+            None => SuffStats::from_rows(&state.items),
+            Some(si) => SuffStats::from_residual_rows(&state.items, si.offsets()),
         }
-        Some(si) => {
-            let stats = SuffStats::from_residual_rows(&state.items, si.offsets());
-            state.apply_hyper_from_stats(&stats, rng);
-            let parts = state.prior_parts();
-            si.resample_beta(&state.items, &state.mu, parts.derivatives().1, rng);
-            parts
-        }
+    }
+
+    fn sweep(
+        &mut self,
+        side: Side,
+        prior: &PriorParts,
+        state: &mut SideState,
+        other: &Mat,
+    ) -> RunStats {
+        let (matrix, weights) = match side {
+            Side::Movies => (self.data.rt, self.movie_weights),
+            Side::Users => (self.data.r, self.user_weights),
+        };
+        let mut draw = ItemDraw::new(
+            self.cfg,
+            prior,
+            self.data.global_mean,
+            matrix,
+            0..matrix.nrows(),
+            other,
+        );
+        draw.offsets = state.link.as_ref().map(|si| si.offsets());
+        // Out-of-core stores: tell the kernel the whole orientation is
+        // about to be swept so read-ahead starts before workers block on
+        // page faults. A no-op for resident matrices.
+        matrix.prefetch_rows(0, matrix.nrows());
+        let (offsets, indices, _) = matrix.raw_parts();
+        let adj = Adjacency {
+            offsets,
+            indices,
+            neighbor_domain: other.rows(),
+        };
+        let rows = 0..matrix.nrows();
+        let items = &mut state.items;
+        self.workers
+            .run(self.runner, &draw, items, rows, Some(weights), Some(adj))
+    }
+
+    fn squared_errors(&mut self, se: [f64; 2]) -> [f64; 2] {
+        se
     }
 }
 
 /// The BPMF Gibbs sampler.
 ///
-/// One [`GibbsSampler::step`] performs Algorithm 1's loop body: resample
-/// movie hyperparameters, sweep all movies, resample user hyperparameters,
-/// sweep all users, then predict the test points (tracking both the current
-/// sample's RMSE and the posterior-mean RMSE after burn-in).
+/// One [`GibbsSampler::step`] is one step of the chain every distributed
+/// rank also runs, with the shared-memory seams: resample movie
+/// hyperparameters, sweep all movies over the runner, resample user
+/// hyperparameters, sweep all users, then predict the test points
+/// (tracking both the current sample's RMSE and the posterior-mean RMSE
+/// after burn-in).
 pub struct GibbsSampler<'a> {
     cfg: BpmfConfig,
     data: TrainData<'a>,
-    users: SideState,
-    movies: SideState,
-    user_side: Option<FeatureSideInfo>,
-    movie_side: Option<FeatureSideInfo>,
+    chain: Chain,
     /// Link state recovered from a checkpoint, applied when side info is
     /// re-attached after [`GibbsSampler::resume`].
     pending_user_link: Option<(Mat, f64)>,
     pending_movie_link: Option<(Mat, f64)>,
-    hyper_rng: Xoshiro256pp,
     workers: Workers,
     user_weights: Vec<f64>,
     movie_weights: Vec<f64>,
-    posterior: PosteriorAccumulator,
-    iter: usize,
 }
 
 impl<'a> GibbsSampler<'a> {
@@ -166,38 +216,31 @@ impl<'a> GibbsSampler<'a> {
     }
 
     /// Initialize factors and hyperparameters from `cfg.seed`.
-    pub fn try_new(cfg: BpmfConfig, data: TrainData<'a>) -> Result<Self, crate::BpmfError> {
+    pub fn try_new(cfg: BpmfConfig, data: TrainData<'a>) -> Result<Self, BpmfError> {
         cfg.try_validate()?;
-        let k = cfg.num_latent;
-        let mut init_rng = Xoshiro256pp::seed_from_u64(cfg.seed);
-        let users = SideState::init(data.r.nrows(), k, &mut init_rng);
-        let movies = SideState::init(data.r.ncols(), k, &mut init_rng);
-        let wm = WorkModel::default();
-        Ok(GibbsSampler {
-            hyper_rng: Xoshiro256pp::seed_from_u64(cfg.seed ^ 0x9E37_79B9),
-            workers: Workers::new(Vec::new(), k),
-            user_weights: store_row_weights(&wm, data.r),
-            movie_weights: store_row_weights(&wm, data.rt),
-            posterior: Self::accumulator(&cfg, &data),
-            iter: 0,
-            cfg,
-            data,
-            users,
-            movies,
-            user_side: None,
-            movie_side: None,
-            pending_user_link: None,
-            pending_movie_link: None,
-        })
+        let shape = (data.r.nrows(), data.r.ncols());
+        let chain = Chain::new(&cfg, shape, data.test.len(), data.global_mean);
+        Ok(Self::around(cfg, data, chain, Vec::new()))
     }
 
-    fn accumulator(cfg: &BpmfConfig, data: &TrainData<'_>) -> PosteriorAccumulator {
-        PosteriorAccumulator::new(
-            cfg.burnin,
-            data.test.len(),
-            data.global_mean,
-            cfg.rating_bounds,
-        )
+    /// The sampler around `chain`, drawing items on `streams`.
+    fn around(
+        cfg: BpmfConfig,
+        data: TrainData<'a>,
+        chain: Chain,
+        streams: Vec<Xoshiro256pp>,
+    ) -> Self {
+        let wm = WorkModel::default();
+        GibbsSampler {
+            workers: Workers::new(streams, cfg.num_latent),
+            user_weights: store_row_weights(&wm, data.r),
+            movie_weights: store_row_weights(&wm, data.rt),
+            pending_user_link: None,
+            pending_movie_link: None,
+            cfg,
+            data,
+            chain,
+        }
     }
 
     /// Attach Macau-style side information to the *user* side: `features`
@@ -206,50 +249,49 @@ impl<'a> GibbsSampler<'a> {
     ///
     /// Supported on the shared-memory path; the distributed driver runs the
     /// plain BPMF model.
-    pub fn attach_user_side_info(&mut self, mut si: FeatureSideInfo) {
-        assert_eq!(
-            si.num_items(),
-            self.data.r.nrows(),
-            "one feature row per user required"
-        );
-        assert_eq!(
-            si.offsets().cols(),
-            self.cfg.num_latent,
-            "side info built for wrong K"
-        );
-        if let Some((beta, lb)) = self.pending_user_link.take() {
-            si.restore_link(beta, lb);
-        }
-        self.user_side = Some(si);
+    pub fn attach_user_side_info(&mut self, si: FeatureSideInfo) {
+        self.attach(Side::Users, si);
     }
 
     /// Attach Macau-style side information to the *movie* side: `features`
     /// must have one row per movie. See [`GibbsSampler::attach_user_side_info`].
-    pub fn attach_movie_side_info(&mut self, mut si: FeatureSideInfo) {
+    pub fn attach_movie_side_info(&mut self, si: FeatureSideInfo) {
+        self.attach(Side::Movies, si);
+    }
+
+    fn attach(&mut self, side: Side, mut si: FeatureSideInfo) {
+        let (state, pending, what) = match side {
+            Side::Users => (&mut self.chain.users, &mut self.pending_user_link, "user"),
+            Side::Movies => (
+                &mut self.chain.movies,
+                &mut self.pending_movie_link,
+                "movie",
+            ),
+        };
         assert_eq!(
             si.num_items(),
-            self.data.r.ncols(),
-            "one feature row per movie required"
+            state.items.rows(),
+            "one feature row per {what} required"
         );
         assert_eq!(
             si.offsets().cols(),
             self.cfg.num_latent,
             "side info built for wrong K"
         );
-        if let Some((beta, lb)) = self.pending_movie_link.take() {
+        if let Some((beta, lb)) = pending.take() {
             si.restore_link(beta, lb);
         }
-        self.movie_side = Some(si);
+        state.link = Some(si);
     }
 
     /// Current user-side link matrix sample, if side information is attached.
     pub fn user_link_matrix(&self) -> Option<&bpmf_linalg::Mat> {
-        self.user_side.as_ref().map(|si| si.beta())
+        self.chain.users.link.as_ref().map(|si| si.beta())
     }
 
     /// Current movie-side link matrix sample, if side information is attached.
     pub fn movie_link_matrix(&self) -> Option<&bpmf_linalg::Mat> {
-        self.movie_side.as_ref().map(|si| si.beta())
+        self.chain.movies.link.as_ref().map(|si| si.beta())
     }
 
     /// Sampler configuration.
@@ -259,19 +301,19 @@ impl<'a> GibbsSampler<'a> {
 
     /// Current user factors (`M × K`).
     pub fn user_factors(&self) -> &Mat {
-        &self.users.items
+        &self.chain.users.items
     }
 
     /// Current movie factors (`N × K`).
     pub fn movie_factors(&self) -> &Mat {
-        &self.movies.items
+        &self.chain.movies.items
     }
 
     /// Current user-side hyperprior `(μ_U, Λ_U)` — the Normal–Wishart
     /// state a cold-start fold-in conditions on (see
     /// [`crate::update::fold_in_mean`]).
     pub fn user_hyper(&self) -> (&[f64], &Mat) {
-        (&self.users.mu, &self.users.lambda)
+        (&self.chain.users.mu, &self.chain.users.lambda)
     }
 
     /// Predict one rating from the *current* sample, clamped to the
@@ -279,7 +321,10 @@ impl<'a> GibbsSampler<'a> {
     pub fn predict_one(&self, user: usize, movie: usize) -> f64 {
         self.cfg.clamp_rating(
             self.data.global_mean
-                + vecops::dot(self.users.items.row(user), self.movies.items.row(movie)),
+                + vecops::dot(
+                    self.chain.users.items.row(user),
+                    self.chain.movies.items.row(movie),
+                ),
         )
     }
 
@@ -288,8 +333,8 @@ impl<'a> GibbsSampler<'a> {
     /// predictor for ranking), clamped to the configured rating bounds.
     /// `None` before any post-burn-in sample.
     pub fn predict_posterior_mean(&self, user: usize, movie: usize) -> Option<f64> {
-        let (u, v) = self.posterior.sums()?;
-        let n = self.posterior.count() as f64;
+        let (u, v) = self.chain.posterior.sums()?;
+        let n = self.chain.posterior.count() as f64;
         Some(
             self.cfg.clamp_rating(
                 self.data.global_mean + vecops::dot(u.row(user), v.row(movie)) / (n * n),
@@ -302,7 +347,7 @@ impl<'a> GibbsSampler<'a> {
     /// after resuming from a checkpoint written before squared-factor
     /// accumulation existed (the early draws' squares are unrecoverable).
     pub fn posterior_second_moments(&self) -> Option<(Mat, Mat)> {
-        self.posterior.second_moments()
+        self.chain.posterior.second_moments()
     }
 
     /// Training-set global mean the sampler centers residuals on.
@@ -312,11 +357,11 @@ impl<'a> GibbsSampler<'a> {
 
     /// Post-burn-in samples accumulated into the posterior means.
     pub fn accumulated_samples(&self) -> usize {
-        self.posterior.count()
+        self.chain.posterior.count()
     }
 
     pub(crate) fn posterior(&self) -> &PosteriorAccumulator {
-        &self.posterior
+        &self.chain.posterior
     }
 
     /// End the chain and serve it: the same model as
@@ -324,13 +369,14 @@ impl<'a> GibbsSampler<'a> {
     /// posterior sums and factors, moved rather than copied.
     pub fn into_model(self) -> PosteriorModel {
         let GibbsSampler {
-            cfg,
-            data,
+            cfg, data, chain, ..
+        } = self;
+        let Chain {
             users,
             movies,
             posterior,
             ..
-        } = self;
+        } = chain;
         PosteriorModel::from_chain(
             posterior,
             || (users.items, movies.items),
@@ -343,54 +389,24 @@ impl<'a> GibbsSampler<'a> {
     /// Running posterior means of the factor matrices (averaged over
     /// post-burn-in samples). `None` before any post-burn-in sample.
     pub fn posterior_mean_factors(&self) -> Option<(Mat, Mat)> {
-        self.posterior.means()
+        self.chain.posterior.means()
     }
 
     /// Monte-Carlo posterior predictive summaries for every test point:
     /// mean and standard deviation over the post-burn-in Gibbs samples.
     /// Empty before two accumulated samples.
     pub fn test_prediction_summaries(&self) -> Vec<PredictionSummary> {
-        self.posterior.summaries()
+        self.chain.posterior.summaries()
     }
 
     /// Completed Gibbs iterations.
     pub fn iterations_done(&self) -> usize {
-        self.iter
+        self.chain.iter
     }
 
     /// Capture the complete sampler state for checkpointing.
     pub fn checkpoint(&self) -> crate::checkpoint::SamplerCheckpoint {
-        use crate::checkpoint::{FlatMat, RngState, SamplerCheckpoint};
-        let flat =
-            |p: Option<&(Mat, Mat)>| p.map(|(u, v)| (FlatMat::from_mat(u), FlatMat::from_mat(v)));
-        let (predict_acc, predict_sq_acc) = self.posterior.prediction_sums();
-        SamplerCheckpoint {
-            num_latent: self.cfg.num_latent,
-            iter: self.iter,
-            acc_count: self.posterior.count(),
-            users: FlatMat::from_mat(&self.users.items),
-            movies: FlatMat::from_mat(&self.movies.items),
-            users_mu: self.users.mu.clone(),
-            users_lambda: FlatMat::from_mat(&self.users.lambda),
-            movies_mu: self.movies.mu.clone(),
-            movies_lambda: FlatMat::from_mat(&self.movies.lambda),
-            hyper_rng: RngState::capture(&self.hyper_rng),
-            worker_rngs: self.workers.rng_states(),
-            predict_acc: predict_acc.to_vec(),
-            predict_sq_acc: predict_sq_acc.to_vec(),
-            factor_acc: flat(self.posterior.sums()),
-            factor_sq_acc: flat(self.posterior.squares()),
-            user_link: self
-                .user_side
-                .as_ref()
-                .map(|si| (FlatMat::from_mat(si.beta()), si.lambda_beta())),
-            movie_link: self
-                .movie_side
-                .as_ref()
-                .map(|si| (FlatMat::from_mat(si.beta()), si.lambda_beta())),
-            // Training state is whole-catalogue; serving stamps a spec.
-            shard: None,
-        }
+        self.chain.checkpoint(self.workers.rng_states())
     }
 
     /// Rebuild a sampler from a checkpoint, panicking on any mismatch.
@@ -408,70 +424,27 @@ impl<'a> GibbsSampler<'a> {
 
     /// Rebuild a sampler from a checkpoint, continuing the exact chain.
     ///
-    /// `cfg` and `data` must match what the checkpointed run used (shapes
-    /// are validated; statistical parameters are trusted). Resume with the
-    /// same runner thread count for reproducible continuation.
+    /// `cfg` and `data` must match what the checkpointed run used: every
+    /// shape the checkpoint restores is validated (a mismatch is a
+    /// [`BpmfError::CheckpointMismatch`]); statistical parameters
+    /// are trusted. Resume with the same runner thread count for
+    /// reproducible continuation.
     pub fn try_resume(
         cfg: BpmfConfig,
         data: TrainData<'a>,
         ckpt: &crate::checkpoint::SamplerCheckpoint,
-    ) -> Result<Self, crate::BpmfError> {
-        use crate::BpmfError;
+    ) -> Result<Self, BpmfError> {
         cfg.try_validate()?;
-        let mismatch = |what: &str, expected: usize, found: usize| {
-            BpmfError::CheckpointMismatch(format!(
-                "{what} mismatch: expected {expected}, found {found}"
-            ))
-        };
-        if cfg.num_latent != ckpt.num_latent {
-            return Err(BpmfError::CheckpointMismatch(format!(
-                "latent dimension mismatch: config has {}, checkpoint has {}",
-                cfg.num_latent, ckpt.num_latent
-            )));
-        }
-        if ckpt.users.rows != data.r.nrows() {
-            return Err(mismatch("user count", data.r.nrows(), ckpt.users.rows));
-        }
-        if ckpt.movies.rows != data.r.ncols() {
-            return Err(mismatch("movie count", data.r.ncols(), ckpt.movies.rows));
-        }
-        if ckpt.predict_acc.len() != data.test.len() {
-            return Err(mismatch(
-                "test set",
-                data.test.len(),
-                ckpt.predict_acc.len(),
-            ));
-        }
-        let k = cfg.num_latent;
-        let wm = WorkModel::default();
-        Ok(GibbsSampler {
-            hyper_rng: ckpt.hyper_rng.rebuild(),
-            // Restored streams are kept as long as the runner has no more
-            // workers than the checkpointed run (see `ensure_workers`).
-            workers: Workers::new(ckpt.worker_rngs.iter().map(|s| s.rebuild()).collect(), k),
-            user_weights: store_row_weights(&wm, data.r),
-            movie_weights: store_row_weights(&wm, data.rt),
-            posterior: Self::accumulator(&cfg, &data).resumed_from(ckpt),
-            iter: ckpt.iter,
-            cfg,
-            data,
-            user_side: None,
-            movie_side: None,
-            pending_user_link: ckpt.user_link.as_ref().map(|(b, l)| (b.to_mat(), *l)),
-            pending_movie_link: ckpt.movie_link.as_ref().map(|(b, l)| (b.to_mat(), *l)),
-            users: SideState {
-                items: ckpt.users.to_mat(),
-                mu: ckpt.users_mu.clone(),
-                lambda: ckpt.users_lambda.to_mat(),
-                hyperprior: bpmf_stats::NormalWishart::default_for_dim(k),
-            },
-            movies: SideState {
-                items: ckpt.movies.to_mat(),
-                mu: ckpt.movies_mu.clone(),
-                lambda: ckpt.movies_lambda.to_mat(),
-                hyperprior: bpmf_stats::NormalWishart::default_for_dim(k),
-            },
-        })
+        let shape = (data.r.nrows(), data.r.ncols());
+        let chain = Chain::resume(&cfg, shape, data.test.len(), data.global_mean, ckpt)?;
+        // Restored streams are kept as long as the runner has no more
+        // workers than the checkpointed run (see `ensure_workers`).
+        let streams = ckpt.worker_rngs.iter().map(|s| s.rebuild()).collect();
+        let mut sampler = Self::around(cfg, data, chain, streams);
+        let link = |l: &Option<(FlatMat, f64)>| l.as_ref().map(|(b, l)| (b.to_mat(), *l));
+        sampler.pending_user_link = link(&ckpt.user_link);
+        sampler.pending_movie_link = link(&ckpt.movie_link);
+        Ok(sampler)
     }
 
     /// Grow per-worker RNG streams and scratch buffers to `n` workers.
@@ -491,26 +464,33 @@ impl<'a> GibbsSampler<'a> {
     /// One full Gibbs iteration over `runner`.
     pub fn step(&mut self, runner: &dyn ItemRunner) -> IterStats {
         self.ensure_workers(runner.threads());
-
-        // Algorithm 1: hyper(movies) → movies, hyper(users) → users. With
-        // side information the Normal–Wishart update sees the residuals
-        // around the feature-predicted means, then the link matrix is
-        // redrawn (Macau's sweep order).
-        let prior = resample_hyper(&mut self.movies, &mut self.movie_side, &mut self.hyper_rng);
-        let movie_stats = self.sweep(Side::Movies, &prior, runner);
-        let prior = resample_hyper(&mut self.users, &mut self.user_side, &mut self.hyper_rng);
-        let user_stats = self.sweep(Side::Users, &prior, runner);
-
-        let se = self.posterior.record(
-            self.iter,
-            &self.users.items,
-            &self.movies.items,
-            self.data.test,
-        );
-        let (rmse_sample, rmse_mean) = self.posterior.rmse(se, self.data.test.len());
-        let stats = self.make_iter_stats(rmse_sample, rmse_mean, &movie_stats, &user_stats);
-        self.iter += 1;
-        stats
+        let mut local = Local {
+            cfg: &self.cfg,
+            data: &self.data,
+            workers: &self.workers,
+            user_weights: &self.user_weights,
+            movie_weights: &self.movie_weights,
+            runner,
+        };
+        let test = self.data.test;
+        let ((rmse_sample, rmse_mean), [movies, users]) =
+            self.chain.step(&mut local, test, test.len());
+        let items = (self.data.r.nrows() + self.data.r.ncols()) as f64;
+        let (e1, e2) = (movies.elapsed.as_secs_f64(), users.elapsed.as_secs_f64());
+        let secs = e1 + e2;
+        IterStats {
+            iter: self.chain.iter - 1,
+            rmse_sample,
+            rmse_mean,
+            items_per_sec: if secs > 0.0 { items / secs } else { 0.0 },
+            sweep_seconds: secs,
+            busy_fraction: if secs > 0.0 {
+                (movies.busy_fraction() * e1 + users.busy_fraction() * e2) / secs
+            } else {
+                1.0
+            },
+            steals: movies.total_steals() + users.total_steals(),
+        }
     }
 
     /// Run `iterations` steps and collect the report.
@@ -520,84 +500,6 @@ impl<'a> GibbsSampler<'a> {
             engine: runner.name().to_string(),
             parallelism: runner.threads(),
             iters,
-        }
-    }
-
-    fn sweep(&mut self, side: Side, prior: &PriorParts, runner: &dyn ItemRunner) -> RunStats {
-        // Full destructuring gives the borrow checker disjoint fields: the
-        // updated side is exclusive, the counterpart shared.
-        let GibbsSampler {
-            cfg,
-            data,
-            users,
-            movies,
-            user_side,
-            movie_side,
-            workers,
-            user_weights,
-            movie_weights,
-            ..
-        } = self;
-        let (state, other, matrix, weights, side_info) = match side {
-            Side::Movies => (movies, &*users, data.rt, &*movie_weights, &*movie_side),
-            Side::Users => (users, &*movies, data.r, &*user_weights, &*user_side),
-        };
-        let mut draw = ItemDraw::new(
-            cfg,
-            prior,
-            data.global_mean,
-            matrix,
-            0..matrix.nrows(),
-            &other.items,
-        );
-        draw.offsets = side_info.as_ref().map(|si| si.offsets());
-        let writer = MatWriter::new(&mut state.items);
-        // Out-of-core stores: tell the kernel the whole orientation is
-        // about to be swept so read-ahead starts before workers block on
-        // page faults. A no-op for resident matrices.
-        matrix.prefetch_rows(0, matrix.nrows());
-        let (offsets, indices, _) = matrix.raw_parts();
-        let adj = Adjacency {
-            offsets,
-            indices,
-            neighbor_domain: other.items.rows(),
-        };
-        let update = |worker: usize, item: usize| {
-            // SAFETY: the runner's exactly-once contract means no other
-            // worker receives this item index, so the row is unaliased.
-            workers.draw(&draw, worker, item, unsafe { writer.row_mut(item) });
-        };
-        runner.run_items(matrix.nrows(), Some(weights), Some(adj), &update)
-    }
-
-    fn make_iter_stats(
-        &self,
-        rmse_sample: f64,
-        rmse_mean: f64,
-        movie_stats: &RunStats,
-        user_stats: &RunStats,
-    ) -> IterStats {
-        let items = (self.data.r.nrows() + self.data.r.ncols()) as f64;
-        let secs = movie_stats.elapsed.as_secs_f64() + user_stats.elapsed.as_secs_f64();
-        let busy = {
-            let (e1, e2) = (
-                movie_stats.elapsed.as_secs_f64(),
-                user_stats.elapsed.as_secs_f64(),
-            );
-            if e1 + e2 > 0.0 {
-                (movie_stats.busy_fraction() * e1 + user_stats.busy_fraction() * e2) / (e1 + e2)
-            } else {
-                1.0
-            }
-        };
-        IterStats {
-            iter: self.iter,
-            rmse_sample,
-            rmse_mean,
-            items_per_sec: if secs > 0.0 { items / secs } else { 0.0 },
-            sweep_seconds: secs,
-            busy_fraction: busy,
-            steals: movie_stats.total_steals() + user_stats.total_steals(),
         }
     }
 }

@@ -80,8 +80,10 @@
 
 use bpmf_linalg::{
     cholesky_in_place, cholesky_in_place_parallel, gemv_t_acc, kernel_pool, solve_lower,
-    solve_lower_transpose, syrk_ld_lower, vecops, Cholesky, Mat, DEFAULT_BLOCK, PANEL_BLOCK,
+    solve_lower_transpose, syrk_ld_lower, vecops, Cholesky, Mat, MatWriter, DEFAULT_BLOCK,
+    PANEL_BLOCK,
 };
+use bpmf_sched::{Adjacency, ItemRunner, RunStats};
 use bpmf_stats::{fill_standard_normal, Xoshiro256pp};
 
 use std::ops::Range;
@@ -376,6 +378,28 @@ impl Workers {
         let mut slot = self.slots[worker].lock().expect("worker mutex poisoned");
         let (rng, scratch) = &mut *slot;
         d.draw(item, rng, scratch, out);
+    }
+
+    /// Draw `rows` of `items` over `runner`, whose item `i` is row
+    /// `rows.start + i`, each worker on its own stream and scratch.
+    pub fn run(
+        &self,
+        runner: &dyn ItemRunner,
+        d: &ItemDraw<'_>,
+        items: &mut Mat,
+        rows: Range<usize>,
+        weights: Option<&[f64]>,
+        adj: Option<Adjacency<'_>>,
+    ) -> RunStats {
+        assert!(rows.end <= items.rows(), "rows beyond the factor matrix");
+        let writer = MatWriter::new(items);
+        runner.run_items(rows.len(), weights, adj, &|worker, i| {
+            let item = rows.start + i;
+            // SAFETY: `item` is in bounds (asserted above), and the
+            // runner's exactly-once contract means no other worker
+            // receives this index, so the row is unaliased.
+            self.draw(d, worker, item, unsafe { writer.row_mut(item) });
+        })
     }
 
     /// Snapshot every stream for a checkpoint.

@@ -2,8 +2,10 @@
 //! chain — the property that makes 15-day production runs (the paper's §VI
 //! headline workload) survivable.
 
-use bpmf::{BpmfConfig, EngineKind, FeatureSideInfo, GibbsSampler, TrainData};
+use bpmf::checkpoint::{FlatMat, SamplerCheckpoint};
+use bpmf::{BpmfConfig, BpmfError, EngineKind, FeatureSideInfo, GibbsSampler, TrainData};
 use bpmf_dataset::chembl_like;
+use bpmf_dataset::movielens_like;
 use bpmf_linalg::Mat;
 use bpmf_stats::{normal, Xoshiro256pp};
 
@@ -136,4 +138,85 @@ fn resume_rejects_wrong_dataset_shape() {
     let other = chembl_like(0.004, 8);
     let data = TrainData::new(&other.train, &other.train_t, other.global_mean, &other.test);
     let _ = GibbsSampler::resume(cfg(), data, &ckpt);
+}
+
+#[test]
+fn resume_refuses_every_misshapen_field_with_a_typed_error() {
+    // Unchecked, each corruption below would panic at resume or at the
+    // next step, or resume silently with a wrong shape (dropped factor
+    // sums restart the posterior means from zero under the old draw
+    // count): every one must be a `CheckpointMismatch` before anything is
+    // restored.
+    let ds = movielens_like(0.003, 71);
+    let data = TrainData::new(&ds.train, &ds.train_t, ds.global_mean, &ds.test);
+    let cfg = BpmfConfig {
+        num_latent: 4,
+        ..cfg()
+    };
+    let mut sampler = GibbsSampler::new(cfg.clone(), data);
+    sampler.run(EngineKind::Static.build(1).as_ref(), 4);
+    let good = sampler.checkpoint();
+    assert!(good.factor_acc.is_some() && good.factor_sq_acc.is_some());
+    assert!(GibbsSampler::try_resume(cfg.clone(), data, &good).is_ok());
+
+    fn wider(m: &mut FlatMat) {
+        m.cols += 1;
+        m.data.resize(m.rows * m.cols, 0.0);
+    }
+    fn shorter(m: &mut FlatMat) {
+        m.rows -= 1;
+        m.data.truncate(m.rows * m.cols);
+    }
+    type Corrupt = fn(&mut SamplerCheckpoint);
+    let corruptions: [(&str, Corrupt); 15] = [
+        ("users with K + 1 columns", |c| wider(&mut c.users)),
+        ("movies with K + 1 columns", |c| wider(&mut c.movies)),
+        ("user factors missing a value", |c| {
+            c.users.data.pop();
+        }),
+        ("user μ of length K + 1", |c| c.users_mu.push(0.0)),
+        ("movie μ of length K - 1", |c| {
+            c.movies_mu.pop();
+        }),
+        ("user Λ K x (K + 1)", |c| wider(&mut c.users_lambda)),
+        ("movie Λ (K - 1) x K", |c| shorter(&mut c.movies_lambda)),
+        ("user factor sums a row short", |c| {
+            shorter(&mut c.factor_acc.as_mut().unwrap().0)
+        }),
+        ("movie factor sums with K + 1 columns", |c| {
+            wider(&mut c.factor_acc.as_mut().unwrap().1)
+        }),
+        ("user squared sums a row short", |c| {
+            shorter(&mut c.factor_sq_acc.as_mut().unwrap().0)
+        }),
+        ("movie squared sums with K + 1 columns", |c| {
+            wider(&mut c.factor_sq_acc.as_mut().unwrap().1)
+        }),
+        ("factor sums dropped after burn-in", |c| c.factor_acc = None),
+        ("test sums truncated", |c| c.predict_acc.truncate(1)),
+        ("squared test sums truncated", |c| {
+            c.predict_sq_acc.truncate(1)
+        }),
+        ("user link with K + 1 columns", |c| {
+            let k = c.num_latent;
+            let mut beta = FlatMat {
+                rows: 3,
+                cols: k,
+                data: vec![0.0; 3 * k],
+            };
+            wider(&mut beta);
+            c.user_link = Some((beta, 1.0));
+        }),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut ckpt = good.clone();
+        corrupt(&mut ckpt);
+        match GibbsSampler::try_resume(cfg.clone(), data, &ckpt) {
+            Err(BpmfError::CheckpointMismatch(msg)) => {
+                assert!(msg.contains("mismatch"), "{what}: {msg}")
+            }
+            Err(e) => panic!("{what}: wrong error {e}"),
+            Ok(_) => panic!("{what}: resumed"),
+        }
+    }
 }

@@ -4,12 +4,13 @@
 
 use bpmf::distributed::{run_rank, DistConfig};
 use bpmf::{
-    Algorithm, Bpmf, BpmfConfig, DistributedTrainer, EngineKind, FitControl, GibbsSampler,
-    IterStats, NoCallback, Recommender, TrainData,
+    Algorithm, Bpmf, BpmfConfig, BpmfError, DistributedTrainer, EngineKind, FitControl,
+    GibbsSampler, IterStats, MappedSlab, NoCallback, Recommender, TrainData,
 };
 use bpmf_baselines::make_trainer;
-use bpmf_dataset::{movielens_like, Dataset};
+use bpmf_dataset::{chembl_like, movielens_like, Dataset};
 use bpmf_mpisim::{NetModel, Universe};
+use bpmf_sparse::{slab_extents, write_slab};
 
 fn cfg(seed: u64) -> BpmfConfig {
     BpmfConfig {
@@ -59,6 +60,71 @@ fn distributed_matches_shared_memory_quality() {
         (shared_rmse - dist_rmse).abs() < 0.12 * shared_rmse.max(1e-9),
         "distributed {dist_rmse} vs shared-memory {shared_rmse}"
     );
+}
+
+#[test]
+fn one_rank_is_the_one_thread_gibbs_chain() {
+    // One rank without reordering draws every item in order from the
+    // unjumped seed stream, all-reduces nothing, and owns every row: the
+    // one-thread static Gibbs chain, bit for bit. The ChEMBL-shaped matrix
+    // (1934 x 23 at K = 32) takes the light arm with its whitened
+    // counterpart.
+    for (ds, k) in [(movielens_like(0.003, 71), 8), (chembl_like(0.004, 5), 32)] {
+        let base = BpmfConfig {
+            num_latent: k,
+            burnin: 3,
+            samples: 5,
+            seed: 17,
+            kernel_threads: 1,
+            ..Default::default()
+        };
+        let data = TrainData::new(&ds.train, &ds.train_t, ds.global_mean, &ds.test);
+        let runner = EngineKind::Static.build(1);
+        let mut sampler = GibbsSampler::new(base.clone(), data);
+        let report = sampler.run(runner.as_ref(), base.iterations());
+
+        let dist_cfg = DistConfig {
+            base,
+            reorder: false,
+            threads_per_rank: 1,
+            ..Default::default()
+        };
+        let dist = Universe::run(1, None, |comm| {
+            run_rank(
+                comm,
+                &ds.train,
+                &ds.train_t,
+                ds.global_mean,
+                &ds.test,
+                &dist_cfg,
+            )
+        });
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let trace = |f: fn(&IterStats) -> f64| report.iters.iter().map(f).collect::<Vec<_>>();
+        let label = format!("{} x {} at K = {k}", ds.nrows(), ds.ncols());
+        assert_eq!(
+            bits(&trace(|s| s.rmse_sample)),
+            bits(&dist[0].rmse_sample_trace),
+            "sample trace, {label}"
+        );
+        assert_eq!(
+            bits(&trace(|s| s.rmse_mean)),
+            bits(&dist[0].rmse_mean_trace),
+            "mean trace, {label}"
+        );
+        let (u, v) = sampler.posterior_mean_factors().expect("posterior means");
+        let gathered = |f: &Option<bpmf::checkpoint::FlatMat>| f.as_ref().unwrap().data.clone();
+        assert_eq!(
+            bits(u.as_slice()),
+            bits(&gathered(&dist[0].user_factors)),
+            "user means, {label}"
+        );
+        assert_eq!(
+            bits(v.as_slice()),
+            bits(&gathered(&dist[0].movie_factors)),
+            "movie means, {label}"
+        );
+    }
 }
 
 #[test]
@@ -277,6 +343,55 @@ fn distributed_trainer_replays_callbacks_and_truncates_on_stop() {
     assert!(report.early_stopped);
     // The underlying SPMD run completed, so the model is still available.
     assert!(trainer.recommender().is_some());
+}
+
+#[test]
+fn distributed_trainer_refuses_what_ranks_cannot_run() {
+    // Ranks run the plain BPMF chain over resident matrices: side
+    // information, checkpoint resume and a memory-mapped slab are typed
+    // refusals, the same ones the point estimators give.
+    let ds = chembl_like(0.003, 9);
+    let data = TrainData::try_new(&ds.train, &ds.train_t, ds.global_mean, &ds.test).unwrap();
+    let base = || {
+        Bpmf::builder()
+            .algorithm(Algorithm::Distributed)
+            .latent(4)
+            .burnin(1)
+            .samples(1)
+            .threads(2)
+    };
+    let refusal = |feature| BpmfError::Unsupported {
+        algorithm: Algorithm::Distributed,
+        feature,
+    };
+    let fit = |spec: Bpmf, data: &TrainData<'_>| {
+        make_trainer(&spec)
+            .fit(data, spec.runner().as_ref(), &mut NoCallback)
+            .unwrap_err()
+    };
+
+    let features = bpmf_linalg::Mat::zeros(ds.nrows(), 3);
+    let spec = base().user_side_info(features, 1.0).build().unwrap();
+    assert_eq!(fit(spec, &data), refusal("side information"));
+
+    let gibbs = GibbsSampler::new(cfg(1), data);
+    let spec = base().resume(gibbs.checkpoint()).build().unwrap();
+    assert_eq!(fit(spec, &data), refusal("checkpoint resume"));
+
+    let path = std::env::temp_dir().join(format!("bpmf-dist-refusal-{}.slab", std::process::id()));
+    let mut w = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
+    let extents = slab_extents(&ds.train, 2);
+    write_slab(&mut w, &ds.train, &ds.train_t, ds.global_mean, &extents).unwrap();
+    drop(w);
+    let slab = MappedSlab::open(&path).unwrap();
+    let (sr, srt) = (slab.r(), slab.rt());
+    let mapped = TrainData::try_new(&sr, &srt, slab.global_mean(), &ds.test).unwrap();
+    assert_eq!(
+        fit(base().build().unwrap(), &mapped),
+        refusal("out-of-core rating stores")
+    );
+    drop(slab);
+    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
