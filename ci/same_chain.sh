@@ -14,8 +14,10 @@
 #   * 3000 x 80, mostly 1-3 ratings per row over Zipf-heavy columns, at
 #     --k 32 (the light arm and its whitened counterpart).
 #
-# Cases: Gibbs --engine static --threads 2 --checkpoint, distributed
-# --threads 1 and --threads 3, sgmcmc, and Gibbs --user-features. The trace
+# Cases: Gibbs --engine static --threads 2 --checkpoint, Gibbs --engine ws
+# --threads 1 --checkpoint (the one-worker work-stealing pool visits items
+# in a fixed order), distributed --threads 1 and --threads 3, sgmcmc, and
+# Gibbs --user-features. The trace
 # is compared on its first three columns (iteration, sample RMSE, mean
 # RMSE; the rest is wall-clock). Prints one line per difference and a
 # summary; exits 1 if anything differs.
@@ -107,6 +109,8 @@ for spec in "heavy 6" "light 32"; do
     matrix=$1 k=$2
     run_case gibbs-static2-ckpt "$matrix" "$k" --algorithm gibbs --engine static \
         --threads 2 --checkpoint @DIR@/ckpt.json
+    run_case gibbs-ws1-ckpt "$matrix" "$k" --algorithm gibbs --engine ws \
+        --threads 1 --checkpoint @DIR@/ckpt.json
     run_case distributed1 "$matrix" "$k" --algorithm distributed --threads 1
     run_case distributed3 "$matrix" "$k" --algorithm distributed --threads 3
     run_case sgmcmc "$matrix" "$k" --algorithm sgmcmc --threads 1

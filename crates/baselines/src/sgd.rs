@@ -223,8 +223,8 @@ impl SgdTrainer {
         for stratum in 0..p {
             let users = MatWriter::new(&mut self.users);
             let movies = MatWriter::new(&mut self.movies);
-            let ub = SliceWriter::new(&mut self.user_bias);
-            let mb = SliceWriter::new(&mut self.movie_bias);
+            let ub = MatWriter::from_slice(&mut self.user_bias);
+            let mb = MatWriter::from_slice(&mut self.movie_bias);
             let buckets = &buckets;
             std::thread::scope(|scope| {
                 for w in 0..p {
@@ -247,8 +247,8 @@ impl SgdTrainer {
                                     (u as usize, m as usize, r),
                                     users.row_mut(u as usize),
                                     movies.row_mut(m as usize),
-                                    ub.get_mut(u as usize),
-                                    mb.get_mut(m as usize),
+                                    &mut ub.row_mut(u as usize)[0],
+                                    &mut mb.row_mut(m as usize)[0],
                                 );
                             }
                         }
@@ -305,37 +305,6 @@ fn sgd_step(
     if cfg.use_biases {
         *bu += lr * (e - cfg.lambda * *bu);
         *bm += lr * (e - cfg.lambda * *bm);
-    }
-}
-
-/// Raw-pointer view of a slice for disjoint-index concurrent writes (the
-/// bias analogue of [`MatWriter`]).
-struct SliceWriter {
-    ptr: *mut f64,
-    len: usize,
-}
-
-// SAFETY: used only under the stratified schedule, which hands each index
-// to exactly one worker per stratum.
-unsafe impl Send for SliceWriter {}
-unsafe impl Sync for SliceWriter {}
-
-impl SliceWriter {
-    fn new(s: &mut [f64]) -> Self {
-        SliceWriter {
-            ptr: s.as_mut_ptr(),
-            len: s.len(),
-        }
-    }
-
-    /// # Safety
-    ///
-    /// No two concurrent calls may receive the same `i`, and no other
-    /// reference to the slice may be alive.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn get_mut(&self, i: usize) -> &mut f64 {
-        debug_assert!(i < self.len);
-        unsafe { &mut *self.ptr.add(i) }
     }
 }
 

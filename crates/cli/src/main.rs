@@ -574,6 +574,8 @@ fn install_shutdown_handler() {
     }
     const SIGINT: i32 = 2;
     const SIGTERM: i32 = 15;
+    // SAFETY: `signal` is the libc prototype declared above, and the
+    // handler only does an atomic store, which is async-signal-safe.
     unsafe {
         signal(SIGINT, on_signal);
         signal(SIGTERM, on_signal);

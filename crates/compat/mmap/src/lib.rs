@@ -85,6 +85,7 @@ mod imp {
     // concurrent reads from multiple threads are safe, exactly as for a
     // `Box<[u8]>`.
     unsafe impl Send for Mmap {}
+    // SAFETY: as for `Send` above: shared access only ever reads.
     unsafe impl Sync for Mmap {}
 
     impl Mmap {

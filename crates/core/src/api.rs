@@ -1543,7 +1543,7 @@ impl Trainer for GibbsTrainer {
                 si.features.clone(),
                 cfg.num_latent,
                 si.lambda_beta,
-            ));
+            ))?;
         }
         if let Some(si) = &self.spec.movie_side_info {
             if si.features.rows() != data.r.ncols() {
@@ -1557,7 +1557,7 @@ impl Trainer for GibbsTrainer {
                 si.features.clone(),
                 cfg.num_latent,
                 si.lambda_beta,
-            ));
+            ))?;
         }
 
         let total = cfg.iterations();

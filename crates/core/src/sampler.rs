@@ -245,21 +245,31 @@ impl<'a> GibbsSampler<'a> {
 
     /// Attach Macau-style side information to the *user* side: `features`
     /// must have one row per user. The link matrix starts at zero and is
-    /// Gibbs-sampled from the next [`GibbsSampler::step`] on.
+    /// Gibbs-sampled from the next [`GibbsSampler::step`] on; after
+    /// [`GibbsSampler::resume`] it starts at the checkpointed sample.
     ///
     /// Supported on the shared-memory path; the distributed driver runs the
     /// plain BPMF model.
-    pub fn attach_user_side_info(&mut self, si: FeatureSideInfo) {
-        self.attach(Side::Users, si);
+    ///
+    /// # Errors
+    ///
+    /// [`BpmfError::CheckpointMismatch`] if the sampler was resumed from a
+    /// checkpoint whose link was sampled for another number of features.
+    pub fn attach_user_side_info(&mut self, si: FeatureSideInfo) -> Result<(), BpmfError> {
+        self.attach(Side::Users, si)
     }
 
     /// Attach Macau-style side information to the *movie* side: `features`
     /// must have one row per movie. See [`GibbsSampler::attach_user_side_info`].
-    pub fn attach_movie_side_info(&mut self, si: FeatureSideInfo) {
-        self.attach(Side::Movies, si);
+    ///
+    /// # Errors
+    ///
+    /// As for [`GibbsSampler::attach_user_side_info`].
+    pub fn attach_movie_side_info(&mut self, si: FeatureSideInfo) -> Result<(), BpmfError> {
+        self.attach(Side::Movies, si)
     }
 
-    fn attach(&mut self, side: Side, mut si: FeatureSideInfo) {
+    fn attach(&mut self, side: Side, mut si: FeatureSideInfo) -> Result<(), BpmfError> {
         let (state, pending, what) = match side {
             Side::Users => (&mut self.chain.users, &mut self.pending_user_link, "user"),
             Side::Movies => (
@@ -278,10 +288,20 @@ impl<'a> GibbsSampler<'a> {
             self.cfg.num_latent,
             "side info built for wrong K"
         );
+        if let Some((beta, _)) = pending {
+            if beta.rows() != si.num_features() {
+                return Err(BpmfError::CheckpointMismatch(format!(
+                    "{what} link was sampled for {} features, the side information has {}",
+                    beta.rows(),
+                    si.num_features()
+                )));
+            }
+        }
         if let Some((beta, lb)) = pending.take() {
             si.restore_link(beta, lb);
         }
         state.link = Some(si);
+        Ok(())
     }
 
     /// Current user-side link matrix sample, if side information is attached.

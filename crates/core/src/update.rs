@@ -391,13 +391,11 @@ impl Workers {
         weights: Option<&[f64]>,
         adj: Option<Adjacency<'_>>,
     ) -> RunStats {
-        assert!(rows.end <= items.rows(), "rows beyond the factor matrix");
         let writer = MatWriter::new(items);
         runner.run_items(rows.len(), weights, adj, &|worker, i| {
             let item = rows.start + i;
-            // SAFETY: `item` is in bounds (asserted above), and the
-            // runner's exactly-once contract means no other worker
-            // receives this index, so the row is unaliased.
+            // SAFETY: the runner's exactly-once contract means no other
+            // worker receives this index, so the row is unaliased.
             self.draw(d, worker, item, unsafe { writer.row_mut(item) });
         })
     }
@@ -720,15 +718,6 @@ fn accumulate_serial(
     );
 }
 
-/// Hands out disjoint `partials` entries to kernel-pool chunks by index.
-struct PartialsWriter {
-    ptr: *mut Partial,
-}
-
-// SAFETY: the kernel pool delivers each chunk index exactly once, and chunk
-// `c` touches only `partials[c]`, so concurrent accesses are disjoint.
-unsafe impl Sync for PartialsWriter {}
-
 /// Chunked accumulation on the persistent kernel pool: each chunk gathers
 /// its contiguous rating range into a private panel and builds a partial
 /// `(Λ_c, b_c)`; partials are reduced serially (K² work, negligible next to
@@ -768,16 +757,11 @@ fn accumulate_parallel(
     let chunk = cols.len().div_ceil(threads);
     let alpha = prior.alpha;
     let mean_offset = prior.mean_offset;
-    let writer = PartialsWriter {
-        ptr: partials.as_mut_ptr(),
-    };
-    // Captured whole (`&writer`), not by field: disjoint closure capture
-    // would otherwise grab the bare `*mut`, which is not `Sync`.
-    let writer = &writer;
+    let writer = MatWriter::from_slice(partials);
     kernel_pool().run(threads, &|c| {
-        // SAFETY: chunk indices are delivered exactly once (see
-        // `PartialsWriter`), so this partial is unaliased.
-        let p = unsafe { &mut *writer.ptr.add(c) };
+        // SAFETY: the kernel pool delivers each chunk index exactly once,
+        // and chunk `c` touches only `partials[c]`, so it is unaliased.
+        let p = unsafe { &mut writer.row_mut(c)[0] };
         let lo = (c * chunk).min(cols.len());
         let hi = (lo + chunk).min(cols.len());
         accumulate_panels(

@@ -26,15 +26,9 @@
 use crate::chol::cholesky_in_place;
 use crate::error::LinalgError;
 use crate::mat::Mat;
+use crate::matwriter::MatWriter;
 use crate::pool::kernel_pool;
 use crate::vecops;
-
-/// Shares the trailing-rows base pointer with pool chunks that each write
-/// a disjoint row range.
-struct RowsPtr(*mut f64);
-
-// SAFETY: every chunk writes a disjoint row range (see the call sites).
-unsafe impl Sync for RowsPtr {}
 
 /// Default block size; 32 keeps the diagonal factor in L1 while giving the
 /// trailing update enough arithmetic per row to amortize thread handoff.
@@ -117,16 +111,13 @@ fn panel_solve(m: &mut Mat, k0: usize, kb: usize, nthreads: usize) {
         return;
     }
     let rows_per = trailing_rows.div_ceil(chunks);
-    let rows = RowsPtr(tail.as_mut_ptr());
-    let rows = &rows;
-
-    kernel_pool().run(chunks, &|c| {
-        let lo = (c * rows_per).min(trailing_rows);
-        let hi = (lo + rows_per).min(trailing_rows);
-        // SAFETY: the pool delivers each chunk index exactly once, and
-        // chunk `c` writes only rows [lo, hi) of the trailing block —
-        // disjoint ranges of `tail`; `run` returns before the borrow ends.
-        let chunk = unsafe { std::slice::from_raw_parts_mut(rows.0.add(lo * n), (hi - lo) * n) };
+    let mut parts: Vec<&mut [f64]> = tail.chunks_mut(rows_per * n).collect();
+    let nparts = parts.len();
+    let writer = MatWriter::from_slice(&mut parts);
+    kernel_pool().run(nparts, &|c| {
+        // SAFETY: the pool delivers each chunk index exactly once, so
+        // chunk `c`'s row block is unaliased.
+        let chunk = unsafe { &mut writer.row_mut(c)[0] };
         panel_solve_rows(chunk, diag, n, k0, kb);
     });
 }
@@ -197,17 +188,21 @@ fn trailing_update(m: &mut Mat, k0: usize, kb: usize, panel: &[f64], nthreads: u
         trailing_update_rows(tail, panel, n, first, kb, 0);
         return;
     }
-    let rows = RowsPtr(tail.as_mut_ptr());
-    let rows = &rows;
+    // The ranges tile the trailing rows in order.
+    let mut parts = Vec::with_capacity(ranges.len());
+    let mut rest = tail;
+    for &(base, end) in &ranges {
+        let (part, tail) = std::mem::take(&mut rest).split_at_mut((end - base) * n);
+        parts.push(part);
+        rest = tail;
+    }
+    let writer = MatWriter::from_slice(&mut parts);
     let ranges = &ranges;
     kernel_pool().run(ranges.len(), &|c| {
-        let (base, end) = ranges[c];
-        // SAFETY: the pool delivers each chunk index exactly once and the
-        // `ranges` row spans are disjoint by construction, so chunk `c`'s
-        // rows are unaliased; `run` returns before the borrow ends.
-        let chunk =
-            unsafe { std::slice::from_raw_parts_mut(rows.0.add(base * n), (end - base) * n) };
-        trailing_update_rows(chunk, panel, n, first, kb, base);
+        // SAFETY: the pool delivers each chunk index exactly once, so
+        // chunk `c`'s row block is unaliased.
+        let chunk = unsafe { &mut writer.row_mut(c)[0] };
+        trailing_update_rows(chunk, panel, n, first, kb, ranges[c].0);
     });
 }
 

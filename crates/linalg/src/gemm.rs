@@ -409,6 +409,8 @@ unsafe fn gemm_panel(
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: as above.
                 simd::SimdLevel::Avx2 => unsafe { block_avx2(m, n, a, slab, cp, jb, jb1, kb) },
+                // SAFETY: the scalar arm needs no CPU feature; `cp` and
+                // the column range carry this function's own contract.
                 _ => unsafe { block_scalar(m, n, a, slab, cp, jb, jb1, kb) },
             }
         }

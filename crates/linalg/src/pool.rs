@@ -16,9 +16,9 @@
 //!
 //! Chunk handoff goes through a mutex rather than lock-free queues: a chunk
 //! here is thousands of rating-row gathers plus a rank-d panel update, so
-//! one uncontended lock per chunk is noise. (The scheduler-level deques,
-//! where tasks are small and contention is the point, are lock-free — see
-//! `crossbeam::deque`.)
+//! one uncontended lock per chunk is noise. The scheduler's work-stealing
+//! deques lock for the same reason: each deque operation there moves a
+//! whole range of items, and a sweep makes a few hundred of them.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};

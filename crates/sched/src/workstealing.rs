@@ -12,19 +12,28 @@
 //! * completion is detected by counting executed items, so uneven splits
 //!   and stolen chunks need no extra coordination.
 //!
+//! Every deque, the injector included, is a `VecDeque` behind a mutex: the
+//! owner pushes and pops at the back, thieves take the front. Locks are
+//! cheap here because a deque operation moves a whole chunk: the default
+//! grain makes about eight chunks per worker per sweep, of at most 1024
+//! items each, so a ChEMBL-sized user sweep (242k items) takes a few
+//! hundred locks while it draws 242k items. A lock-free deque would save
+//! nothing measurable. TBB's classic scheduler likewise locks the victim's
+//! task pool to steal.
+//!
 //! The non-`'static` closure is passed to the persistent workers by
 //! lifetime-erasing a `&dyn Fn` (see `SAFETY` in [`WorkStealingPool::run_items`]);
 //! `run_items` does not return until every item is executed, so the
 //! reference never outlives the borrow it was created from.
 
+use std::collections::VecDeque;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
-use crossbeam::utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 
 use crate::stats::{RunStats, WorkerStats};
@@ -32,6 +41,21 @@ use crate::ItemRunner;
 
 type Chunk = std::ops::Range<usize>;
 type Job = &'static (dyn Fn(usize, usize) + Sync);
+/// Chunks waiting to run, oldest at the front.
+type Deque = Mutex<VecDeque<Chunk>>;
+
+/// Aligns a value to 128 bytes, so per-worker state in adjacent slots
+/// never shares a cache line (or an adjacent-line prefetch pair).
+#[derive(Default)]
+#[repr(align(128))]
+struct CachePadded<T>(T);
+
+impl<T> Deref for CachePadded<T> {
+    type Target = T;
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
 
 struct Gate {
     epoch: Mutex<(u64, bool)>, // (sweep epoch, shutdown)
@@ -51,8 +75,10 @@ struct WorkerCounters {
 }
 
 struct Shared {
-    injector: Injector<Chunk>,
-    stealers: Vec<Stealer<Chunk>>,
+    injector: Deque,
+    /// One per worker: the owner pushes and pops at the back, thieves take
+    /// the front.
+    deques: Vec<CachePadded<Deque>>,
     job: Mutex<Option<Job>>,
     grain: AtomicUsize,
     remaining: AtomicUsize,
@@ -81,12 +107,10 @@ impl WorkStealingPool {
     /// Spawn a pool with `nthreads` workers (at least 1).
     pub fn new(nthreads: usize) -> Self {
         let nthreads = nthreads.max(1);
-        let deques: Vec<Deque<Chunk>> = (0..nthreads).map(|_| Deque::new_lifo()).collect();
-        let stealers = deques.iter().map(|d| d.stealer()).collect();
         let shared = Arc::new(Shared {
-            injector: Injector::new(),
+            injector: Mutex::new(VecDeque::new()),
             in_sweep: AtomicUsize::new(0),
-            stealers,
+            deques: (0..nthreads).map(|_| CachePadded::default()).collect(),
             job: Mutex::new(None),
             grain: AtomicUsize::new(1),
             remaining: AtomicUsize::new(0),
@@ -99,18 +123,14 @@ impl WorkStealingPool {
                 flag: Mutex::new(true),
                 cv: Condvar::new(),
             },
-            counters: (0..nthreads)
-                .map(|_| CachePadded::new(WorkerCounters::default()))
-                .collect(),
+            counters: (0..nthreads).map(|_| CachePadded::default()).collect(),
         });
-        let handles = deques
-            .into_iter()
-            .enumerate()
-            .map(|(id, deque)| {
+        let handles = (0..nthreads)
+            .map(|id| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("bpmf-ws-{id}"))
-                    .spawn(move || worker_loop(id, deque, shared))
+                    .spawn(move || worker_loop(id, shared))
                     .expect("failed to spawn worker thread")
             })
             .collect();
@@ -153,12 +173,14 @@ impl WorkStealingPool {
         // find work immediately; splitting handles the rest.
         let nchunks = (self.nthreads * 4).min(n);
         let per = n.div_ceil(nchunks);
+        let mut injector = shared.injector.lock();
         let mut start = 0;
         while start < n {
             let end = (start + per).min(n);
-            shared.injector.push(start..end);
+            injector.push_back(start..end);
             start = end;
         }
+        drop(injector);
 
         // SAFETY: the worker threads dereference this borrow only while
         // `remaining > 0`; we block below until `remaining == 0` (the done
@@ -243,7 +265,7 @@ impl Drop for WorkStealingPool {
     }
 }
 
-fn worker_loop(id: usize, deque: Deque<Chunk>, shared: Arc<Shared>) {
+fn worker_loop(id: usize, shared: Arc<Shared>) {
     let mut last_epoch = 0u64;
     // Cheap xorshift for victim selection.
     let mut rng_state = (id as u64).wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -266,26 +288,23 @@ fn worker_loop(id: usize, deque: Deque<Chunk>, shared: Arc<Shared>) {
         let job = *shared.job.lock();
         if let Some(job) = job {
             let grain = shared.grain.load(Ordering::Relaxed);
-            sweep(id, &deque, &shared, job, grain, &mut rng_state);
+            sweep(id, &shared, job, grain, &mut rng_state);
         }
         shared.in_sweep.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
 /// Execute work until the sweep's item counter reaches zero.
-fn sweep(
-    id: usize,
-    deque: &Deque<Chunk>,
-    shared: &Shared,
-    job: Job,
-    grain: usize,
-    rng_state: &mut u64,
-) {
+fn sweep(id: usize, shared: &Shared, job: Job, grain: usize, rng_state: &mut u64) {
     let counters = &shared.counters[id];
+    let own = &shared.deques[id];
     let mut idle_spins = 0u32;
     loop {
-        let chunk = deque.pop().or_else(|| {
-            find_work(id, deque, shared, rng_state).inspect(|_| {
+        // Its own statement: the guard must be gone before `find_work`
+        // locks this deque again to refill it.
+        let popped = own.lock().pop_back();
+        let chunk = popped.or_else(|| {
+            find_work(id, shared, rng_state).inspect(|_| {
                 counters.steals.fetch_add(1, Ordering::Relaxed);
             })
         });
@@ -294,10 +313,13 @@ fn sweep(
                 idle_spins = 0;
                 // Split until at most `grain` items remain, leaving right
                 // halves for thieves.
-                while cur.len() > grain {
-                    let mid = cur.start + cur.len() / 2;
-                    deque.push(mid..cur.end);
-                    cur = cur.start..mid;
+                if cur.len() > grain {
+                    let mut own = own.lock();
+                    while cur.len() > grain {
+                        let mid = cur.start + cur.len() / 2;
+                        own.push_back(mid..cur.end);
+                        cur = cur.start..mid;
+                    }
                 }
                 let len = cur.len();
                 let t0 = Instant::now();
@@ -338,20 +360,11 @@ fn sweep(
 
 /// Steal: injector first (fresh chunks), then victim deques round-robin
 /// from a random start.
-fn find_work(
-    id: usize,
-    deque: &Deque<Chunk>,
-    shared: &Shared,
-    rng_state: &mut u64,
-) -> Option<Chunk> {
-    loop {
-        match shared.injector.steal_batch_and_pop(deque) {
-            Steal::Success(c) => return Some(c),
-            Steal::Retry => continue,
-            Steal::Empty => break,
-        }
+fn find_work(id: usize, shared: &Shared, rng_state: &mut u64) -> Option<Chunk> {
+    if let Some(c) = steal_batch(&shared.injector, &shared.deques[id]) {
+        return Some(c);
     }
-    let n = shared.stealers.len();
+    let n = shared.deques.len();
     *rng_state ^= *rng_state << 13;
     *rng_state ^= *rng_state >> 7;
     *rng_state ^= *rng_state << 17;
@@ -361,15 +374,23 @@ fn find_work(
         if victim == id {
             continue;
         }
-        loop {
-            match shared.stealers[victim].steal() {
-                Steal::Success(c) => return Some(c),
-                Steal::Retry => continue,
-                Steal::Empty => break,
-            }
+        if let Some(c) = shared.deques[victim].lock().pop_front() {
+            return Some(c);
         }
     }
     None
+}
+
+/// Take the injector's oldest chunk and move the next
+/// `min(remaining / 2, 7)` into `own`, oldest first, so the thief's next
+/// pops stay local. A one-thread sweep therefore visits items in index
+/// order.
+fn steal_batch(injector: &Deque, own: &Deque) -> Option<Chunk> {
+    let mut injector = injector.lock();
+    let first = injector.pop_front()?;
+    let extra = (injector.len() / 2).min(7);
+    own.lock().extend(injector.drain(..extra));
+    Some(first)
 }
 
 #[cfg(test)]
@@ -460,6 +481,49 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn one_thread_sweep_runs_the_recorded_order() {
+        // The order a one-thread sweep visits items in is part of the
+        // chain (each draw advances the one worker's stream), so it is
+        // pinned to the order checkpoints and traces were made with.
+        let pool = WorkStealingPool::new(1);
+        let order = Mutex::new(Vec::new());
+        pool.run_with_grain(64, 4, |_, i| order.lock().push(i));
+        assert_eq!(order.into_inner(), (0..64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn injector_batches_run_in_the_recorded_order() {
+        // The owner pops LIFO from its deque and refills it from the
+        // injector in batches of at most 8, oldest first. The sequence
+        // was recorded from the earlier lock-free deque on the same 100
+        // one-item chunks.
+        let mut want = Vec::new();
+        for b in (0..88).step_by(8) {
+            want.push(b);
+            want.extend((b + 1..b + 8).rev());
+        }
+        want.extend([88, 93, 92, 91, 90, 89, 94, 96, 95, 97, 98, 99]);
+        let injector: Deque = Mutex::new((0..100).map(|i| i..i + 1).collect());
+        let own: Deque = Mutex::default();
+        let mut seen = Vec::new();
+        loop {
+            let popped = own.lock().pop_back();
+            match popped.or_else(|| steal_batch(&injector, &own)) {
+                Some(c) => seen.push(c.start),
+                None => break,
+            }
+        }
+        assert_eq!(seen, want);
+    }
+
+    #[test]
+    fn cache_padded_is_aligned() {
+        let v = CachePadded(0u64);
+        assert_eq!(std::mem::align_of_val(&v), 128);
+        assert_eq!(*v, 0);
     }
 
     #[test]

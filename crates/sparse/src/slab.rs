@@ -595,9 +595,14 @@ mod tests {
     }
 
     fn view_of(buf: &[u64], len: usize) -> SlabView<'_> {
+        SlabView::parse(bytes_of(buf, len)).unwrap()
+    }
+
+    /// Byte view over the aligned test buffer.
+    fn bytes_of(buf: &[u64], len: usize) -> &[u8] {
+        assert!(len <= buf.len() * 8);
         // SAFETY: reading the u64 buffer as its byte prefix.
-        let bytes = unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u8, len) };
-        SlabView::parse(bytes).unwrap()
+        unsafe { std::slice::from_raw_parts(buf.as_ptr() as *const u8, len) }
     }
 
     #[test]
@@ -668,39 +673,29 @@ mod tests {
         // class the serving supervisor quarantines on — not as a
         // structurally alien format.
         let mut short = good.clone();
-        let err = {
-            let bytes = unsafe { std::slice::from_raw_parts(short.as_ptr() as *const u8, len - 9) };
-            SlabView::parse(bytes).unwrap_err()
-        };
+        let err = SlabView::parse(bytes_of(&short, len - 9)).unwrap_err();
         assert!(matches!(err, SlabError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("corrupt slab"), "{err}");
 
         // Bad magic.
         short = good.clone();
         short[0] = 0;
-        let bytes = unsafe { std::slice::from_raw_parts(short.as_ptr() as *const u8, len) };
-        assert!(SlabView::parse(bytes)
+        assert!(SlabView::parse(bytes_of(&short, len))
             .unwrap_err()
             .to_string()
             .contains("magic"));
 
         // Future version.
         let mut vers = good.clone();
-        let b = unsafe { std::slice::from_raw_parts_mut(vers.as_mut_ptr() as *mut u8, len) };
-        b[8] = 99;
-        let bytes = unsafe { std::slice::from_raw_parts(vers.as_ptr() as *const u8, len) };
-        assert!(SlabView::parse(bytes)
+        bytes_mut(&mut vers, len)[8] = 99;
+        assert!(SlabView::parse(bytes_of(&vers, len))
             .unwrap_err()
             .to_string()
             .contains("version"));
 
         // Misaligned buffer.
-        let raw: Vec<u8> = {
-            let bytes = unsafe { std::slice::from_raw_parts(good.as_ptr() as *const u8, len) };
-            let mut v = vec![0u8; len + 1];
-            v[1..].copy_from_slice(bytes);
-            v
-        };
+        let mut raw = vec![0u8; len + 1];
+        raw[1..].copy_from_slice(bytes_of(&good, len));
         if !(raw[1..].as_ptr() as usize).is_multiple_of(8) {
             assert!(SlabView::parse(&raw[1..])
                 .unwrap_err()
@@ -711,6 +706,7 @@ mod tests {
 
     /// Mutable byte view over the aligned test buffer.
     fn bytes_mut(buf: &mut [u64], len: usize) -> &mut [u8] {
+        assert!(len <= buf.len() * 8);
         // SAFETY: reading/writing the u64 buffer as its byte prefix.
         unsafe { std::slice::from_raw_parts_mut(buf.as_mut_ptr() as *mut u8, len) }
     }

@@ -3,7 +3,10 @@
 //! headline workload) survivable.
 
 use bpmf::checkpoint::{FlatMat, SamplerCheckpoint};
-use bpmf::{BpmfConfig, BpmfError, EngineKind, FeatureSideInfo, GibbsSampler, TrainData};
+use bpmf::{
+    Bpmf, BpmfConfig, BpmfError, EngineKind, FeatureSideInfo, GibbsSampler, NoCallback, TrainData,
+    Trainer,
+};
 use bpmf_dataset::chembl_like;
 use bpmf_dataset::movielens_like;
 use bpmf_linalg::Mat;
@@ -78,13 +81,16 @@ fn resume_restores_side_information_link() {
     // Uninterrupted informed run.
     let data = TrainData::new(&ds.train, &ds.train_t, ds.global_mean, &ds.test);
     let mut full = GibbsSampler::new(cfg(), data);
-    full.attach_user_side_info(FeatureSideInfo::new(features.clone(), 6, 1.0));
+    full.attach_user_side_info(FeatureSideInfo::new(features.clone(), 6, 1.0))
+        .unwrap();
     let full_report = full.run(runner.as_ref(), 7);
 
     // Interrupted at 4.
     let data = TrainData::new(&ds.train, &ds.train_t, ds.global_mean, &ds.test);
     let mut first = GibbsSampler::new(cfg(), data);
-    first.attach_user_side_info(FeatureSideInfo::new(features.clone(), 6, 1.0));
+    first
+        .attach_user_side_info(FeatureSideInfo::new(features.clone(), 6, 1.0))
+        .unwrap();
     first.run(runner.as_ref(), 4);
     let ckpt = first.checkpoint();
     assert!(ckpt.user_link.is_some(), "link state must be captured");
@@ -94,7 +100,9 @@ fn resume_restores_side_information_link() {
     let mut resumed = GibbsSampler::resume(cfg(), data, &ckpt);
     // Features are data: the caller re-attaches them; the checkpointed β is
     // restored into the fresh side info.
-    resumed.attach_user_side_info(FeatureSideInfo::new(features.clone(), 6, 1.0));
+    resumed
+        .attach_user_side_info(FeatureSideInfo::new(features.clone(), 6, 1.0))
+        .unwrap();
     let restored_beta = resumed.user_link_matrix().expect("attached");
     let saved_beta = first.user_link_matrix().expect("still attached");
     assert_eq!(
@@ -111,6 +119,44 @@ fn resume_restores_side_information_link() {
             "informed resumed chain diverged"
         );
     }
+}
+
+#[test]
+fn resume_with_another_feature_width_is_a_typed_error() {
+    let ds = chembl_like(0.003, 6);
+    let runner = EngineKind::Static.build(1);
+    let mut rng = Xoshiro256pp::seed_from_u64(4);
+    let features = |d: usize, rng: &mut Xoshiro256pp| {
+        Mat::from_fn(ds.nrows(), d, |_, _| normal(rng, 0.0, 1.0))
+    };
+    let data = TrainData::new(&ds.train, &ds.train_t, ds.global_mean, &ds.test);
+    let mut first = GibbsSampler::new(cfg(), data);
+    first
+        .attach_user_side_info(FeatureSideInfo::new(features(3, &mut rng), 6, 1.0))
+        .unwrap();
+    first.run(runner.as_ref(), 3);
+    let ckpt = first.checkpoint();
+
+    // Resuming through the builder with four features instead of three
+    // must refuse the checkpoint, not panic.
+    let spec = Bpmf::builder()
+        .latent(6)
+        .burnin(2)
+        .samples(6)
+        .seed(77)
+        .kernel_threads(1)
+        .user_side_info(features(4, &mut rng), 1.0)
+        .resume(ckpt)
+        .build()
+        .unwrap();
+    let err = spec
+        .gibbs_trainer()
+        .fit(&data, runner.as_ref(), &mut NoCallback)
+        .unwrap_err();
+    assert!(
+        matches!(&err, BpmfError::CheckpointMismatch(m) if m.contains("3 features")),
+        "{err}"
+    );
 }
 
 #[test]

@@ -92,11 +92,13 @@ fn run(workload: &ColdStart, side_info: bool) -> f64 {
     let runner = EngineKind::WorkStealing.build(2);
     let mut sampler = GibbsSampler::new(cfg.clone(), data);
     if side_info {
-        sampler.attach_user_side_info(FeatureSideInfo::new(
-            workload.features.clone(),
-            cfg.num_latent,
-            1.0,
-        ));
+        sampler
+            .attach_user_side_info(FeatureSideInfo::new(
+                workload.features.clone(),
+                cfg.num_latent,
+                1.0,
+            ))
+            .unwrap();
     }
     let report = sampler.run(runner.as_ref(), cfg.iterations());
     report.final_rmse()
@@ -139,7 +141,9 @@ fn link_matrix_is_sampled_and_finite() {
     );
     let runner = EngineKind::Static.build(1);
     let mut sampler = GibbsSampler::new(cfg, data);
-    sampler.attach_user_side_info(FeatureSideInfo::new(workload.features.clone(), 4, 1.0));
+    sampler
+        .attach_user_side_info(FeatureSideInfo::new(workload.features.clone(), 4, 1.0))
+        .unwrap();
     assert!(sampler.movie_link_matrix().is_none());
     sampler.step(runner.as_ref());
     let beta = sampler.user_link_matrix().expect("side info attached");
@@ -167,5 +171,7 @@ fn wrong_feature_row_count_is_rejected() {
         &workload.test,
     );
     let mut sampler = GibbsSampler::new(cfg, data);
-    sampler.attach_user_side_info(FeatureSideInfo::new(Mat::zeros(3, 2), 4, 1.0));
+    sampler
+        .attach_user_side_info(FeatureSideInfo::new(Mat::zeros(3, 2), 4, 1.0))
+        .unwrap();
 }
