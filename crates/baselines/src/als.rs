@@ -76,7 +76,6 @@ pub struct AlsTrainer<'a> {
     global_mean: f64,
     users: Mat,
     movies: Mat,
-    sweeps_done: usize,
 }
 
 impl<'a> AlsTrainer<'a> {
@@ -116,18 +115,12 @@ impl<'a> AlsTrainer<'a> {
             global_mean,
             users,
             movies,
-            sweeps_done: 0,
         }
     }
 
     /// The training-set mean the residuals are centered on.
     pub fn global_mean(&self) -> f64 {
         self.global_mean
-    }
-
-    /// Completed full sweeps.
-    pub fn sweeps_done(&self) -> usize {
-        self.sweeps_done
     }
 
     /// Current user factors (rows × K).
@@ -159,7 +152,6 @@ impl<'a> AlsTrainer<'a> {
             self.global_mean,
             runner,
         );
-        self.sweeps_done += 1;
     }
 
     /// Run the configured number of sweeps and package the model.

@@ -1,7 +1,6 @@
 //! Unified-API adapters: ALS and SGD behind `bpmf`'s [`Trainer`] and
 //! [`Recommender`] traits, plus [`make_trainer`] — the one dispatch point
-//! the CLI, benchmark harnesses, and examples share for all three
-//! algorithms.
+//! the CLI and the examples share for all three algorithms.
 //!
 //! ```
 //! use bpmf::{Algorithm, Bpmf, NoCallback, TrainData, Trainer};
@@ -471,7 +470,7 @@ impl Trainer for SgmcmcRecommenderTrainer {
 // ---------------------------------------------------------------------------
 
 /// One trainer for any [`Algorithm`]: the dispatch point behind which the
-/// CLI, bench binaries, and examples treat Gibbs, ALS, SGD, SG-MCMC, and
+/// CLI and the examples treat Gibbs, ALS, SGD, SG-MCMC, and
 /// the paper's distributed sampler uniformly.
 pub fn make_trainer(spec: &Bpmf) -> Box<dyn Trainer> {
     match spec.algorithm {

@@ -22,9 +22,9 @@
 //!    software overhead that makes item-granular sends untenable (§IV-C) and
 //!    that dominates at high node counts in Fig. 5.
 //!
-//! The simulator is calibrated with per-rating/per-item costs measured on
-//! the host by the Fig. 2 harness (`bpmf_bench::calibrate`); the layered
-//! benchmark's `dist_chembl` workload reports the resulting prediction as
+//! The simulator takes its per-rating/per-item costs from a
+//! [`ComputeModel`]; the layered benchmark's `dist_chembl` workload runs it
+//! with [`ComputeModel::default_calibration`] and reports the prediction as
 //! `cluster_sim.predicted_scale_eff` beside the measured `dist.scale_eff`.
 
 mod model;

@@ -59,7 +59,7 @@ impl Topology {
 /// Calibrated per-node compute cost model.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ComputeModel {
-    /// Seconds per rating accumulation on one core (measured by `fig2`).
+    /// Seconds per rating accumulation on one core.
     pub seconds_per_rating: f64,
     /// Fixed seconds per item update on one core (solve + sampling).
     pub seconds_per_item: f64,
@@ -126,7 +126,7 @@ impl ComputeModel {
 }
 
 /// One phase (one side's sweep) of the distributed schedule, aggregated per
-/// node. Built by the harness from the actual partition and communication
+/// node. Built by the caller from the actual partition and communication
 /// plan of the workload being simulated.
 #[derive(Clone, Debug, Default)]
 pub struct PhaseLoad {

@@ -30,14 +30,7 @@ impl From<serde::Error> for Error {
 /// Serialize a value to compact JSON.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
-}
-
-/// Serialize a value to human-indented JSON.
-pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
+    write_value(&value.to_value(), &mut out);
     Ok(out)
 }
 
@@ -67,7 +60,7 @@ pub fn parse_value(text: &str) -> Result<Value, Error> {
 // Writer
 // ---------------------------------------------------------------------------
 
-fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
+fn write_value(v: &Value, out: &mut String) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
@@ -91,11 +84,7 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
                 if i > 0 {
                     out.push(',');
                 }
-                newline(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            if !items.is_empty() {
-                newline(out, indent, depth);
+                write_value(item, out);
             }
             out.push(']');
         }
@@ -105,26 +94,12 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, depth: usize)
                 if i > 0 {
                     out.push(',');
                 }
-                newline(out, indent, depth + 1);
                 write_string(k, out);
                 out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, depth + 1);
-            }
-            if !fields.is_empty() {
-                newline(out, indent, depth);
+                write_value(item, out);
             }
             out.push('}');
         }
-    }
-}
-
-fn newline(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.extend(std::iter::repeat_n(' ', width * depth));
     }
 }
 
@@ -437,14 +412,6 @@ mod tests {
         let v: Vec<(u32, Vec<f64>)> = vec![(1, vec![1.5, 2.5]), (2, vec![])];
         let json = to_string(&v).unwrap();
         assert_eq!(from_str::<Vec<(u32, Vec<f64>)>>(&json).unwrap(), v);
-    }
-
-    #[test]
-    fn pretty_output_parses_back() {
-        let v: Vec<Vec<u32>> = vec![vec![1, 2], vec![3]];
-        let pretty = to_string_pretty(&v).unwrap();
-        assert!(pretty.contains('\n'));
-        assert_eq!(from_str::<Vec<Vec<u32>>>(&pretty).unwrap(), v);
     }
 
     #[test]

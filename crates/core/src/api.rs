@@ -214,8 +214,8 @@ impl<F: FnMut(&IterStats) -> FitControl> IterCallback for F {
 /// A training algorithm that fits a recommender to rating data.
 ///
 /// Implemented by [`GibbsTrainer`] here and by the ALS/SGD adapters in
-/// `bpmf-baselines`; `Box<dyn Trainer>` is the dispatch point the CLI,
-/// benchmark harnesses, and examples share.
+/// `bpmf-baselines`; `Box<dyn Trainer>` is the dispatch point the CLI and
+/// the examples share.
 pub trait Trainer {
     /// Which algorithm this trainer runs.
     fn algorithm(&self) -> Algorithm;

@@ -23,9 +23,9 @@ pub struct BpmfConfig {
     /// Ratings count at or below which an item uses the light kernel (the
     /// whitened low-rank draw, [`crate::UpdateMethod::RankOne`]); `None`
     /// selects `max(K/8, 1)`, the measured crossover against the blocked
-    /// serial kernel (re-measure on new hardware with
-    /// `bpmf_bench::calibrate::calibrate_rank_one_max`; see "Choosing the
-    /// thresholds on new hardware" in `update.rs`).
+    /// serial kernel (re-measure on new hardware with the layered
+    /// benchmark's `update.light_item_us` against `linalg.chol_us`; see
+    /// "Choosing the thresholds on new hardware" in `update.rs`).
     pub rank_one_max: Option<usize>,
     /// Threads used *inside* one parallel-kernel item update.
     pub kernel_threads: usize,
@@ -62,8 +62,8 @@ impl BpmfConfig {
     }
 
     /// Effective light/serial-Cholesky crossover. The default `max(K/8, 1)`
-    /// follows what `calibrate_rank_one_max` measured on the AVX-512 arm (3
-    /// at K = 16, 3–5 at K = 32, 12 at K = 64): the light kernel pays
+    /// follows the crossover measured on the AVX-512 arm (3 at K = 16, 3–5
+    /// at K = 32, 12 at K = 64): the light kernel pays
     /// two triangular solves, `d` products with `L⁻ᵀ` and a `d × d`
     /// system, the serial one a `K × K` copy and factorization, so the
     /// crossover grows with `K`.

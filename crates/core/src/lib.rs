@@ -311,8 +311,8 @@
 //!
 //! The same `fit` call trains ALS or SGD instead: pick the algorithm with
 //! `.algorithm(Algorithm::Als)` and dispatch through
-//! `bpmf_baselines::make_trainer(&spec)` — the CLI, benchmark tables, and
-//! examples all go through that one `Box<dyn Trainer>` path. The paper's
+//! `bpmf_baselines::make_trainer(&spec)` — the CLI and the examples both go
+//! through that one `Box<dyn Trainer>` path. The paper's
 //! distributed sampler is behind the same facade:
 //! `.algorithm(Algorithm::Distributed)` trains over a message-passing
 //! universe with `threads` ranks ([`DistributedTrainer`]) and leaves the

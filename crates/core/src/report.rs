@@ -122,18 +122,6 @@ impl FitReport {
     pub fn mean_items_per_sec(&self) -> f64 {
         mean_items_per_sec_of(&self.iters)
     }
-
-    /// Promote a legacy [`TrainReport`] into the unified shape.
-    pub fn from_train_report(algorithm: &str, report: TrainReport, total_seconds: f64) -> Self {
-        FitReport {
-            algorithm: algorithm.to_string(),
-            engine: report.engine,
-            parallelism: report.parallelism,
-            iters: report.iters,
-            total_seconds,
-            early_stopped: false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -184,13 +172,17 @@ mod tests {
                 stats(2, 0.5, 30.0),
             ],
         };
-        let fit = FitReport::from_train_report("gibbs", train.clone(), 1.25);
+        let fit = FitReport {
+            algorithm: "gibbs".into(),
+            engine: train.engine.clone(),
+            parallelism: train.parallelism,
+            iters: train.iters.clone(),
+            total_seconds: 1.25,
+            early_stopped: false,
+        };
         assert_eq!(fit.final_rmse(), train.final_rmse());
         assert_eq!(fit.mean_items_per_sec(), train.mean_items_per_sec());
         assert_eq!(fit.best_rmse(), 0.5);
-        assert_eq!(fit.algorithm, "gibbs");
-        assert!(!fit.early_stopped);
-        assert_eq!(fit.total_seconds, 1.25);
     }
 
     #[test]

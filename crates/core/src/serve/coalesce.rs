@@ -211,11 +211,6 @@ impl<T> Queue<T> {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
-
-    /// Whether [`Queue::shutdown`] has been called.
-    pub fn is_shutdown(&self) -> bool {
-        self.state.lock().unwrap().draining
-    }
 }
 
 #[cfg(test)]

@@ -332,11 +332,6 @@ impl MappedSlab {
         let ptrs = (self.nrows + 1 + self.ncols + 1) * std::mem::size_of::<usize>();
         ptrs + self.nnz * (4 + 8) * 2
     }
-
-    /// Tell the kernel the whole payload will be read in scheduler order.
-    pub fn advise_sequential(&self) -> std::io::Result<()> {
-        self.map.advise(Advice::Sequential)
-    }
 }
 
 impl fmt::Debug for MappedSlab {
@@ -447,7 +442,6 @@ mod tests {
         view.prefetch_rows(0, view.nrows());
         view.prefetch_rows(3, 5);
         view.prefetch_rows(100, 200);
-        slab.advise_sequential().unwrap();
         std::fs::remove_file(&path).ok();
     }
 

@@ -57,14 +57,13 @@
 //!   `K × K` factorization a serial item pays instead: the light kernel is
 //!   worth keeping up to the `d` at which its per-rating products and
 //!   `d × d` system cost more than the serial kernel's copy and
-//!   factorization.
-//!   `bpmf_bench::calibrate::calibrate_rank_one_max(K)` runs exactly that
-//!   search on synthetic rows (over `d` = 1, 2, 3, 5, 8, 12, …) and returns
-//!   the value for `rank_one_max`. On the AVX-512 arm it measured 3 at
-//!   K = 16, 3–5 at K = 32 and 12 at K = 64; `K/8` sits at or one step
-//!   below that. The portable arm, whose factorization is slower, measured
-//!   5, 8–12 and 27.
-//! * Both the probe and the calibration call the public [`update_item`],
+//!   factorization. Comparing the two at the `K` of interest gives the
+//!   value for `rank_one_max`. The search that picked the default timed
+//!   synthetic rows of `d` = 1, 2, 3, 5, 8, 12, … ratings and found 3 at
+//!   K = 16, 3–5 at K = 32 and 12 at K = 64 on the AVX-512 arm; `K/8` sits
+//!   at or one step below that. The portable arm, whose factorization is
+//!   slower, measured 5, 8–12 and 27.
+//! * Both the probe and that search call the public [`update_item`],
 //!   which has no sweep constants: they price a light item at its
 //!   stand-alone cost, above what it costs inside a sweep, where
 //!   [`ItemDraw`] has already paid the forward solve of `L⁻¹Λμ` and,

@@ -2,7 +2,7 @@
 //! file, so shell harnesses (the CI daemon e2e step, ad-hoc CLI runs) can
 //! produce training data without a Python/awk side channel.
 //!
-//! Usage: `cargo run --release -p bpmf-bench --bin gen_mtx -- \
+//! Usage: `cargo run --release -p bpmf-dataset --bin gen_mtx -- \
 //!   --out ratings.mtx [--kind chembl|movielens] [--scale 0.003] [--seed 31]`
 
 use std::io::{BufWriter, Write as _};

@@ -13,8 +13,8 @@
 //! * power-law row/column popularity, which creates the items with ≫1000
 //!   ratings that motivate the adaptive kernel (Fig. 2) and the workload
 //!   model (§IV-B),
-//! * matching shape and density at any `scale`, so the benchmark harnesses
-//!   can dial workload size to the host machine.
+//! * matching shape and density at any `scale`, so the layered benchmark
+//!   and `gen_mtx` can dial workload size to the host machine.
 //!
 //! Users with the real exports can load them through
 //! [`bpmf_sparse::read_matrix_market`] and wrap them in a [`Dataset`] with

@@ -203,12 +203,6 @@ impl Cholesky {
         Ok(Self::from_lower_unchecked(l))
     }
 
-    /// Factor `a` in place, consuming it.
-    pub fn factor_in_place(mut a: Mat) -> Result<Self, LinalgError> {
-        cholesky_in_place(&mut a)?;
-        Ok(Self::from_lower_unchecked(a))
-    }
-
     /// Wrap an existing lower factor without checking it.
     ///
     /// The caller promises `l` is lower triangular with positive diagonal,
@@ -262,11 +256,6 @@ impl Cholesky {
     /// covariance `A⁻¹` — the precision-form sampling step of BPMF.
     pub fn solve_lt_in_place(&self, b: &mut [f64]) {
         solve_lower_transpose(&self.l, b);
-    }
-
-    /// Solve `L x = b` in place.
-    pub fn solve_l_in_place(&self, b: &mut [f64]) {
-        solve_lower(&self.l, b);
     }
 
     /// Explicit inverse `A⁻¹` (dense). Prefer the solves in hot paths.

@@ -58,7 +58,6 @@ pub mod gemm;
 mod mat;
 mod matwriter;
 mod panel;
-mod par;
 mod pool;
 pub mod simd;
 mod tri;
@@ -75,7 +74,6 @@ pub use gemm::{
 pub use mat::Mat;
 pub use matwriter::MatWriter;
 pub use panel::{gemv_t_acc, gemv_t_acc_scalar, syrk_ld_lower, syrk_ld_lower_scalar, PANEL_BLOCK};
-pub use par::par_row_chunks;
 pub use pool::{kernel_pool, KernelPool};
 pub use simd::simd_enabled;
 pub use tri::{solve_lower, solve_lower_transpose};

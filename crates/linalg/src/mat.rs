@@ -121,21 +121,6 @@ impl Mat {
         let _ = i;
     }
 
-    /// Two disjoint mutable rows; panics if `i == j`.
-    pub fn two_rows_mut(&mut self, i: usize, j: usize) -> (&mut [f64], &mut [f64]) {
-        assert_ne!(i, j, "rows must be distinct");
-        let c = self.cols;
-        let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-        let (head, tail) = self.data.split_at_mut(hi * c);
-        let lo_row = &mut head[lo * c..(lo + 1) * c];
-        let hi_row = &mut tail[..c];
-        if i < j {
-            (lo_row, hi_row)
-        } else {
-            (hi_row, lo_row)
-        }
-    }
-
     /// Set every element to `v`.
     pub fn fill(&mut self, v: f64) {
         self.data.fill(v);
@@ -479,11 +464,6 @@ impl Mat {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
 }
 
 impl Index<(usize, usize)> for Mat {
@@ -561,16 +541,6 @@ mod tests {
         m.symmetrize_from_lower();
         let expected = Mat::from_fn(3, 3, |i, j| 2.0 * x[i] * x[j]);
         assert!(m.max_abs_diff(&expected) < 1e-12);
-    }
-
-    #[test]
-    fn two_rows_mut_returns_disjoint_rows() {
-        let mut m = Mat::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
-        let (a, b) = m.two_rows_mut(3, 1);
-        a[0] = -1.0;
-        b[0] = -2.0;
-        assert_eq!(m[(3, 0)], -1.0);
-        assert_eq!(m[(1, 0)], -2.0);
     }
 
     #[test]

@@ -56,14 +56,6 @@ pub fn copy(x: &[f64], y: &mut [f64]) {
     y.copy_from_slice(x);
 }
 
-/// Multiply every element by `a`.
-#[inline]
-pub fn scal(a: f64, x: &mut [f64]) {
-    for xi in x {
-        *xi *= a;
-    }
-}
-
 /// Euclidean norm.
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {

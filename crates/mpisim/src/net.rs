@@ -7,8 +7,10 @@ use std::time::Duration;
 ///
 /// With `None` as the model, delivery is immediate (shared-memory speed) —
 /// right for correctness tests. With a model, the mailbox holds messages
-/// back until their arrival time, which is what lets the Fig. 5 harness
-/// observe genuine compute/communication overlap behaviour in process.
+/// back until their arrival time, which is what lets the benchmark's
+/// `dist_chembl` workload (`dist.{compute,both,comm}_frac`) and the
+/// `distributed_scaling` example observe genuine compute/communication
+/// overlap behaviour in process.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NetModel {
     /// Per-message latency (the MPI software + wire α term).

@@ -20,8 +20,11 @@
 //!   queue, modelling the consistency machinery a general graph framework
 //!   pays that a specialized sampler does not.
 //!
-//! All three report [`RunStats`] (per-worker busy time, items, steals) so
-//! the Fig. 3 harness can show *why* the ordering comes out the way it does.
+//! All three report [`RunStats`] (per-worker busy time, items, steals), so a
+//! run can show *why* the ordering comes out the way it does. To compare
+//! them on Fig. 3's workload, write a ChEMBL-shaped matrix with `gen_mtx
+//! --kind chembl` and run `bpmf-train --engine ws|static|graphlab
+//! --threads T` on it; each iteration prints `items_per_sec`.
 
 mod static_pool;
 mod stats;

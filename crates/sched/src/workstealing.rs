@@ -23,7 +23,8 @@
 //!
 //! The non-`'static` closure is passed to the persistent workers by
 //! lifetime-erasing a `&dyn Fn` (see `SAFETY` in [`WorkStealingPool::run_items`]);
-//! `run_items` does not return until every item is executed, so the
+//! `run_items` does not return until every item is executed or, after a
+//! panic in any worker, until every worker has left the sweep, so the
 //! reference never outlives the borrow it was created from.
 
 use std::collections::VecDeque;
@@ -82,6 +83,8 @@ struct Shared {
     job: Mutex<Option<Job>>,
     grain: AtomicUsize,
     remaining: AtomicUsize,
+    /// Set by a worker whose sweep panicked, inside the job or outside it;
+    /// every worker then leaves the sweep and the master is woken.
     panicked: AtomicBool,
     /// Workers currently inside a sweep. `run_items` returns when the item
     /// counter hits zero — which can be *before* every worker has observed
@@ -150,9 +153,7 @@ impl WorkStealingPool {
         let _serial = self.run_lock.lock();
         // Retire laggards of the previous sweep before touching shared
         // state (see `Shared::in_sweep`).
-        while self.shared.in_sweep.load(Ordering::Acquire) != 0 {
-            std::thread::yield_now();
-        }
+        self.shared.drain_sweepers();
         if n == 0 {
             return RunStats {
                 elapsed: Duration::ZERO,
@@ -183,9 +184,10 @@ impl WorkStealingPool {
         drop(injector);
 
         // SAFETY: the worker threads dereference this borrow only while
-        // `remaining > 0`; we block below until `remaining == 0` (the done
-        // gate), so the borrow outlives every dereference. The job slot is
-        // cleared before returning.
+        // `remaining > 0` and no worker has panicked. We block below until
+        // `remaining == 0` (the done gate), so the borrow outlives every
+        // dereference; after a panic we clear the job slot and then wait
+        // for every worker to leave the sweep before unwinding.
         let job: Job = unsafe { std::mem::transmute::<&(dyn Fn(usize, usize) + Sync), Job>(&f) };
         *shared.job.lock() = Some(job);
         *shared.done.flag.lock() = false;
@@ -206,6 +208,14 @@ impl WorkStealingPool {
         *shared.job.lock() = None;
 
         if shared.panicked.load(Ordering::Acquire) {
+            // A worker that read the job before the slot was cleared is
+            // still counted in `in_sweep`; one that reads it now sees
+            // `None`. The aborted sweep's chunks must not reach the next.
+            shared.drain_sweepers();
+            shared.injector.lock().clear();
+            for d in &shared.deques {
+                d.lock().clear();
+            }
             panic!("a worker panicked during WorkStealingPool::run_items");
         }
 
@@ -252,6 +262,21 @@ impl ItemRunner for WorkStealingPool {
     }
 }
 
+impl Shared {
+    /// Wait until no worker is inside a sweep.
+    fn drain_sweepers(&self) {
+        while self.in_sweep.load(Ordering::Acquire) != 0 {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Wake the master blocked in `run_with_grain`.
+    fn signal_done(&self) {
+        *self.done.flag.lock() = true;
+        self.done.cv.notify_all();
+    }
+}
+
 impl Drop for WorkStealingPool {
     fn drop(&mut self) {
         {
@@ -288,18 +313,31 @@ fn worker_loop(id: usize, shared: Arc<Shared>) {
         let job = *shared.job.lock();
         if let Some(job) = job {
             let grain = shared.grain.load(Ordering::Relaxed);
-            sweep(id, &shared, job, grain, &mut rng_state);
+            // A panic anywhere in the sweep (the job, the deques, the
+            // steal) must reach the caller: the panicking worker's chunk
+            // never leaves `remaining`, so the done gate would never open.
+            let swept = catch_unwind(AssertUnwindSafe(|| {
+                sweep(id, &shared, job, grain, &mut rng_state)
+            }));
+            if swept.is_err() {
+                shared.panicked.store(true, Ordering::Release);
+                shared.signal_done();
+            }
         }
         shared.in_sweep.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// Execute work until the sweep's item counter reaches zero.
+/// Execute work until the sweep's item counter reaches zero or a worker
+/// has panicked.
 fn sweep(id: usize, shared: &Shared, job: Job, grain: usize, rng_state: &mut u64) {
     let counters = &shared.counters[id];
     let own = &shared.deques[id];
     let mut idle_spins = 0u32;
     loop {
+        if shared.panicked.load(Ordering::Acquire) {
+            return;
+        }
         // Its own statement: the guard must be gone before `find_work`
         // locks this deque again to refill it.
         let popped = own.lock().pop_back();
@@ -323,22 +361,15 @@ fn sweep(id: usize, shared: &Shared, job: Job, grain: usize, rng_state: &mut u64
                 }
                 let len = cur.len();
                 let t0 = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    for i in cur {
-                        job(id, i);
-                    }
-                }));
+                for i in cur {
+                    job(id, i);
+                }
                 counters
                     .busy_ns
                     .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 counters.items.fetch_add(len as u64, Ordering::Relaxed);
-                if result.is_err() {
-                    shared.panicked.store(true, Ordering::Release);
-                }
                 if shared.remaining.fetch_sub(len, Ordering::AcqRel) == len {
-                    let mut done = shared.done.flag.lock();
-                    *done = true;
-                    shared.done.cv.notify_all();
+                    shared.signal_done();
                 }
             }
             None => {
@@ -390,6 +421,12 @@ fn steal_batch(injector: &Deque, own: &Deque) -> Option<Chunk> {
     let first = injector.pop_front()?;
     let extra = (injector.len() / 2).min(7);
     own.lock().extend(injector.drain(..extra));
+    #[cfg(test)]
+    assert_ne!(
+        injector.back().map(|c| c.end),
+        Some(tests::STEAL_PANICS_AT),
+        "injected steal panic"
+    );
     Some(first)
 }
 
@@ -481,6 +518,36 @@ mod tests {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(ok.load(Ordering::Relaxed), 10);
+    }
+
+    /// A sweep over this many items panics in `steal_batch` after a steal
+    /// has filled the thief's deque, while the injector still holds the
+    /// sweep's last chunk: the aborted sweep leaves chunks behind.
+    pub(super) const STEAL_PANICS_AT: usize = 12_345;
+
+    #[test]
+    fn panic_outside_the_job_reaches_the_caller() {
+        // Run on a helper thread so a hang fails the test instead of the
+        // suite.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = WorkStealingPool::new(2);
+            let first = catch_unwind(AssertUnwindSafe(|| {
+                pool.run_with_grain(STEAL_PANICS_AT, 64, |_, _| {})
+            }));
+            // The pool stays usable, and none of the aborted sweep's
+            // chunks leak into the next one.
+            let hits = AtomicUsize::new(0);
+            pool.run_with_grain(1000, 64, |_, i| {
+                assert!(i < 1000);
+                hits.fetch_add(1, Ordering::Relaxed);
+            });
+            tx.send((first.is_err(), hits.into_inner())).unwrap();
+        });
+        let got = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the sweep hung after a panic outside the job");
+        assert_eq!(got, (true, 1000));
     }
 
     #[test]

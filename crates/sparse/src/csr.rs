@@ -122,11 +122,6 @@ impl Csr {
         self.row_ptr[i + 1] - self.row_ptr[i]
     }
 
-    /// Per-row entry counts.
-    pub fn row_degrees(&self) -> Vec<usize> {
-        (0..self.nrows).map(|i| self.row_nnz(i)).collect()
-    }
-
     /// Iterate all `(row, col, value)` entries in row-major order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u32, f64)> + '_ {
         (0..self.nrows).flat_map(move |r| {
@@ -268,7 +263,8 @@ mod tests {
     #[test]
     fn degrees_match_rows() {
         let m = example();
-        assert_eq!(m.row_degrees(), vec![2, 1, 2]);
+        let degrees: Vec<usize> = (0..m.nrows()).map(|i| m.row_nnz(i)).collect();
+        assert_eq!(degrees, vec![2, 1, 2]);
         assert_eq!(m.max_row_nnz(), 2);
         assert!((m.mean_row_nnz() - 5.0 / 3.0).abs() < 1e-12);
     }

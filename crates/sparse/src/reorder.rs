@@ -87,16 +87,6 @@ impl Permutation {
             inverse: self.forward.clone(),
         }
     }
-
-    /// Apply to a dense slice: `out[new_of(i)] = data[i]`.
-    pub fn apply_slice<T: Clone>(&self, data: &[T]) -> Vec<T> {
-        assert_eq!(data.len(), self.len(), "slice length mismatch");
-        let mut out: Vec<T> = data.to_vec();
-        for (old, item) in data.iter().enumerate() {
-            out[self.new_of(old)] = item.clone();
-        }
-        out
-    }
 }
 
 /// Order rows by descending degree (rating count). Heavy items end up
@@ -227,13 +217,6 @@ mod tests {
     #[should_panic(expected = "duplicate target")]
     fn non_bijection_rejected() {
         let _ = Permutation::from_forward(vec![0, 0, 1]);
-    }
-
-    #[test]
-    fn apply_slice_moves_items() {
-        let p = Permutation::from_forward(vec![1, 2, 0]);
-        let out = p.apply_slice(&["a", "b", "c"]);
-        assert_eq!(out, vec!["c", "a", "b"]);
     }
 
     #[test]

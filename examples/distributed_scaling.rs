@@ -71,6 +71,6 @@ fn main() {
     }
     println!("\n(all ranks verified to produce bit-identical RMSE traces)");
     println!("note: ranks are threads sharing this machine's cores, so items/s");
-    println!("does not scale like the paper's cluster — see the fig4 harness for");
-    println!("the calibrated BlueGene/Q extrapolation.");
+    println!("does not scale like the paper's cluster; the extrapolation to the");
+    println!("BlueGene/Q's 1,024 nodes is ROADMAP item 16 (not reproduced).");
 }
